@@ -165,13 +165,9 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 			pages     []*cachePage
 		}
 		var pending missRun
-		flush := func() error {
-			if len(pending.pages) == 0 {
-				return nil
-			}
-			pages, first := pending.pages, pending.firstPage
-			pending.pages = nil
-			err := fs.readPagesFromDisk(env, u, first, pages)
+		// settle finishes a fill of pages (first at page index first):
+		// on err they are dropped, and every waiter is woken.
+		settle := func(first uint64, pages []*cachePage, err error) {
 			now := env.Now()
 			for i, cp := range pages {
 				if err != nil {
@@ -188,6 +184,15 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 				// waiters re-look-up.
 				cp.fill.FireAt(now)
 			}
+		}
+		flush := func() error {
+			if len(pending.pages) == 0 {
+				return nil
+			}
+			pages, first := pending.pages, pending.firstPage
+			pending.pages = nil
+			err := fs.readPagesFromDisk(env, u, first, pages)
+			settle(first, pages, err)
 			return err
 		}
 		for p := p0; p <= p1; p++ {
@@ -200,6 +205,14 @@ func (fs *FS) readAt(env *sim.Env, f *OpenFile, buf []byte, off uint64) (int, er
 					env.Exec(costPageAlloc)
 					pc.insert(env, p, cp)
 					kept++
+					if n := len(pending.pages); n > 0 && p != pending.firstPage+uint64(n) {
+						// A resident page broke the run, and a run is
+						// read as consecutive pages: submit it first.
+						if err := flush(); err != nil {
+							settle(p, []*cachePage{cp}, err)
+							return 0, err
+						}
+					}
 					if len(pending.pages) == 0 {
 						pending.firstPage = p
 					}

@@ -5,15 +5,6 @@ import (
 	"time"
 )
 
-// Trace, when set, receives engine execution-path notes (debugging).
-var Trace func(format string, args ...any)
-
-func debugf(format string, args ...any) {
-	if Trace != nil {
-		Trace(format, args...)
-	}
-}
-
 // IRQHandler handles an interrupt vector raised on a core. It runs in
 // "interrupt context": it may charge time via ctx.Charge, wake tasks, fire
 // completions, and request rescheduling, but must not block.
@@ -50,13 +41,13 @@ type pendingIRQ struct {
 // frame is started by startIRQ and charges its handler cost through endEv;
 // nested frames (preemptive delivery of a more urgent vector) run their
 // handler synchronously and push their cost into the frame they
-// interrupted.
+// interrupted. Frames are owned by their core and reused at their depth.
 type irqFrame struct {
-	vector int
-	rank   int
-	ctx    *IRQCtx
-	endEv  Timer         // bottom frame only: pending end-of-IRQ event
-	endAt  time.Duration // virtual time endEv fires at
+	ctx   IRQCtx
+	rank  int
+	endEv Timer         // bottom frame only: pending end-of-IRQ event
+	endAt time.Duration // virtual time endEv fires at
+	end   func()        // frameEnd of this frame, bound once
 }
 
 // DefaultMaxIRQNest bounds the IRQ stack depth (bottom frame plus nested
@@ -82,22 +73,32 @@ type Core struct {
 
 	// Mid-exec bookkeeping: when the current task is inside Exec or
 	// SpinWait, execStart records when the current slice began.
-	execStart  time.Duration
-	execEv     Timer // pending exec-completion event (unarmed while spinning)
-	execEvFrom string
+	execStart time.Duration
+	execEv    Timer // pending exec-completion event (unarmed while spinning)
 
 	inIRQ        bool
 	inTransition bool
 	pending      []pendingIRQ
-	irqStack     []*irqFrame
-	irqRank      func(vector int) int
+	// irqFrames[:irqDepth] is the IRQ stack; deeper entries are spare
+	// frames kept for reuse (depth is bounded by maxNest).
+	irqFrames []*irqFrame
+	irqDepth  int
+	irqRank   func(vector int) int
+
+	// transTask is the task of the pending transition: the one a context
+	// switch dispatches, or the one whose resume hooks are being charged.
+	transTask *Task
+
+	// Event callbacks bound once per core, so the hot path schedules no
+	// fresh closure per event.
+	execDoneFn, tickFn, switchFn, idleSwitchFn, hookFn func()
 
 	// MaxIRQNest bounds the IRQ stack depth when an IRQ ranking is
 	// installed (DefaultMaxIRQNest if zero).
 	MaxIRQNest int
 
 	// inBody is set while control is handed to the current task's body
-	// goroutine (between resume and yield). The body is the only context
+	// (between resume and park). The body is the only context
 	// that can execute during that window, and it cannot be suspended
 	// mid-statement: scheduling operations it triggers (wakes, spawns)
 	// must defer preemption of this core to the next decision point.
@@ -117,7 +118,13 @@ type Core struct {
 }
 
 func newCore(e *Engine, id int) *Core {
-	return &Core{ID: id, eng: e, idle: true}
+	c := &Core{ID: id, eng: e, idle: true}
+	c.execDoneFn = c.execDone
+	c.tickFn = c.tick
+	c.switchFn = c.switchDone
+	c.idleSwitchFn = c.idleSwitchDone
+	c.hookFn = c.hookDone
+	return c
 }
 
 // Current returns the task running on the core, or nil if idle.
@@ -219,8 +226,8 @@ func (c *Core) RaiseIRQ(vector int) {
 		return
 	}
 	if c.inIRQ {
-		if c.irqRank != nil && len(c.irqStack) < c.maxNest() {
-			if inner := c.irqStack[len(c.irqStack)-1]; c.irqRank(vector) < inner.rank {
+		if c.irqRank != nil && c.irqDepth < c.maxNest() {
+			if inner := c.irqFrames[c.irqDepth-1]; c.irqRank(vector) < inner.rank {
 				c.nestIRQ(vector)
 				return
 			}
@@ -231,11 +238,23 @@ func (c *Core) RaiseIRQ(vector int) {
 	c.startIRQ(vector)
 }
 
+// pushFrame pushes a fresh frame for vector onto the IRQ stack.
+func (c *Core) pushFrame(vector int) *irqFrame {
+	if c.irqDepth == len(c.irqFrames) {
+		f := &irqFrame{}
+		f.end = func() { c.frameEnd(f) }
+		c.irqFrames = append(c.irqFrames, f)
+	}
+	f := c.irqFrames[c.irqDepth]
+	c.irqDepth++
+	f.ctx = IRQCtx{eng: c.eng, core: c}
+	f.rank = c.rankOf(vector)
+	return f
+}
+
 func (c *Core) startIRQ(vector int) {
-	e := c.eng
 	now := c.now()
 	c.IRQCount++
-	debugf("%v core%d startIRQ vec=%d cur=%v", now, c.ID, vector, c.current)
 	if c.idle {
 		// Fold accumulated idle time but keep the core logically idle:
 		// the ISR interrupts the idle loop, and leaving idle (with its
@@ -248,14 +267,13 @@ func (c *Core) startIRQ(vector int) {
 		c.suspendExec()
 	}
 	c.inIRQ = true
-	f := &irqFrame{vector: vector, rank: c.rankOf(vector), ctx: &IRQCtx{eng: e, core: c}}
-	c.irqStack = append(c.irqStack, f)
+	f := c.pushFrame(vector)
 	if c.irqHandler != nil {
-		c.irqHandler(f.ctx, vector)
+		c.irqHandler(&f.ctx, vector)
 	}
 	if f.ctx.cost > 0 {
 		f.endAt = c.now() + f.ctx.cost
-		f.endEv = c.Schedule(f.ctx.cost, func() { c.frameEnd(f) })
+		f.endEv = c.Schedule(f.ctx.cost, f.end)
 		return
 	}
 	c.frameEnd(f)
@@ -267,28 +285,25 @@ func (c *Core) startIRQ(vector int) {
 // interrupted handler is itself still executing, by folding into the charge
 // it is accumulating.
 func (c *Core) nestIRQ(vector int) {
-	e := c.eng
 	c.IRQCount++
 	c.NestedIRQCount++
-	debugf("%v core%d nestIRQ vec=%d depth=%d", c.now(), c.ID, vector, len(c.irqStack))
-	f := &irqFrame{vector: vector, rank: c.rankOf(vector), ctx: &IRQCtx{eng: e, core: c}}
-	c.irqStack = append(c.irqStack, f)
+	f := c.pushFrame(vector)
 	if c.irqHandler != nil {
-		c.irqHandler(f.ctx, vector)
+		c.irqHandler(&f.ctx, vector)
 	}
-	c.irqStack = c.irqStack[:len(c.irqStack)-1]
+	c.irqDepth--
 	cost := f.ctx.cost
 	if cost <= 0 {
 		return
 	}
-	parent := c.irqStack[len(c.irqStack)-1]
+	parent := c.irqFrames[c.irqDepth-1]
 	if !parent.endEv.Armed() {
 		parent.ctx.cost += cost
 		return
 	}
 	parent.endEv.Cancel()
 	parent.endAt += cost
-	parent.endEv = c.ScheduleAt(parent.endAt, func() { c.frameEnd(parent) })
+	parent.endEv = c.ScheduleAt(parent.endAt, parent.end)
 }
 
 // suspendExec pauses the current task's Exec/Spin slice, folding the elapsed
@@ -299,7 +314,6 @@ func (c *Core) suspendExec() {
 		return
 	}
 	now := c.now()
-	debugf("%v core%d suspendExec %s op=%d ev=%v", now, c.ID, t.Name, t.op, c.execEv.Armed())
 	elapsed := now - c.execStart
 	t.CPUTime += elapsed
 	switch t.op {
@@ -333,11 +347,10 @@ func (c *Core) resumeExec() {
 			return
 		}
 		if c.execEv.Armed() {
-			panic(fmt.Sprintf("sim: resumeExec overwriting pending execEv from %s at=%v now=%v cur=%s",
-				c.execEvFrom, c.execEv.At(), c.now(), t.Name))
+			panic(fmt.Sprintf("sim: resumeExec overwriting pending execEv at=%v now=%v cur=%s",
+				c.execEv.At(), c.now(), t.Name))
 		}
-		c.execEvFrom = "resumeExec"
-		c.execEv = c.Schedule(t.execRem, func() { c.execDone() })
+		c.execEv = c.Schedule(t.execRem, c.execDoneFn)
 	case opSpin:
 		if t.spinOn.Done() {
 			c.eng.runCurrent(c)
@@ -363,11 +376,10 @@ func (c *Core) execDone() {
 // frameEnd retires the bottom IRQ frame once its charged cost has elapsed
 // (nested frames retire synchronously inside nestIRQ).
 func (c *Core) frameEnd(f *irqFrame) {
-	debugf("%v core%d endIRQ vec=%d cur=%v", c.now(), c.ID, f.vector, c.current)
-	if n := len(c.irqStack); n == 0 || c.irqStack[n-1] != f {
+	if c.irqDepth != 1 || c.irqFrames[0] != f {
 		panic("sim: IRQ frame ended out of order")
 	}
-	c.irqStack = c.irqStack[:len(c.irqStack)-1]
+	c.irqDepth = 0
 	f.endEv = Timer{}
 	c.inIRQ = false
 	if len(c.pending) > 0 {
@@ -435,26 +447,28 @@ func (c *Core) goIdle() {
 }
 
 func (c *Core) armTick() {
-	e := c.eng
-	if e.TickPeriod <= 0 || c.tickEv.Armed() {
+	if c.eng.TickPeriod <= 0 || c.tickEv.Armed() {
 		return
 	}
-	var tick func()
-	tick = func() {
-		c.tickEv = Timer{}
-		if c.current == nil {
-			return
-		}
-		c.tickEv = c.Schedule(e.TickPeriod, tick)
-		if e.sched != nil {
-			e.sched.Tick(c)
-		}
-		if c.needResched && !c.inIRQ && !c.inTransition && c.current != nil {
-			c.suspendExec()
-			e.preemptCurrent(c)
-		}
+	c.tickEv = c.Schedule(c.eng.TickPeriod, c.tickFn)
+}
+
+// tick is the periodic scheduler tick; it re-arms itself while a task is
+// current.
+func (c *Core) tick() {
+	e := c.eng
+	c.tickEv = Timer{}
+	if c.current == nil {
+		return
 	}
-	c.tickEv = c.Schedule(e.TickPeriod, tick)
+	c.tickEv = c.Schedule(e.TickPeriod, c.tickFn)
+	if e.sched != nil {
+		e.sched.Tick(c)
+	}
+	if c.needResched && !c.inIRQ && !c.inTransition && c.current != nil {
+		c.suspendExec()
+		e.preemptCurrent(c)
+	}
 }
 
 func (c *Core) stopTick() {
@@ -511,15 +525,7 @@ func (e *Engine) reschedule(c *Core, charge bool) {
 			// overlapped with whatever the core was waiting for.
 			if charge && e.CtxSwitchCost > 0 {
 				c.inTransition = true
-				c.Schedule(e.CtxSwitchCost, func() {
-					c.inTransition = false
-					if c.current == nil && e.sched.NrRunnable(c) > 0 {
-						e.reschedule(c, true)
-						return
-					}
-					c.goIdle()
-					c.drainPending()
-				})
+				c.Schedule(e.CtxSwitchCost, c.idleSwitchFn)
 				return
 			}
 			c.goIdle()
@@ -541,13 +547,31 @@ func (e *Engine) reschedule(c *Core, charge bool) {
 	c.needResched = false
 	if cost > 0 {
 		c.inTransition = true
-		c.Schedule(cost, func() {
-			c.inTransition = false
-			e.startTask(c, next)
-		})
+		c.transTask = next
+		c.Schedule(cost, c.switchFn)
 		return
 	}
 	e.startTask(c, next)
+}
+
+// switchDone ends a charged context switch by dispatching its target.
+func (c *Core) switchDone() {
+	next := c.transTask
+	c.transTask = nil
+	c.inTransition = false
+	c.eng.startTask(c, next)
+}
+
+// idleSwitchDone ends a charged switch to the idle task, dispatching
+// instead if something became runnable meanwhile.
+func (c *Core) idleSwitchDone() {
+	c.inTransition = false
+	if c.current == nil && c.eng.sched.NrRunnable(c) > 0 {
+		c.eng.reschedule(c, true)
+		return
+	}
+	c.goIdle()
+	c.drainPending()
 }
 
 func (c *Core) drainPending() {
@@ -558,7 +582,6 @@ func (c *Core) drainPending() {
 
 // startTask makes t current on c and resumes its body.
 func (e *Engine) startTask(c *Core, t *Task) {
-	debugf("%v core%d startTask %s op=%d", c.now(), c.ID, t.Name, t.op)
 	c.SwitchCount++
 	c.current = t
 	t.core = c
@@ -585,21 +608,25 @@ func (e *Engine) startTask(c *Core, t *Task) {
 			cost += fn()
 		}
 		if cost > 0 {
-			debugf("%v core%d hook-transition %s cost=%v", c.now(), c.ID, t.Name, cost)
 			t.CPUTime += cost
-			c.Schedule(cost, func() {
-				c.inTransition = false
-				if c.current != t {
-					return
-				}
-				debugf("%v core%d hook-continue %s op=%d", c.now(), c.ID, t.Name, t.op)
-				e.continueTask(c, t)
-			})
+			c.transTask = t
+			c.Schedule(cost, c.hookFn)
 			return
 		}
 		c.inTransition = false
 	}
 	e.continueTask(c, t)
+}
+
+// hookDone ends a resume-hook transition by continuing its task, if the
+// task is still current.
+func (c *Core) hookDone() {
+	t := c.transTask
+	c.transTask = nil
+	c.inTransition = false
+	if c.current == t {
+		c.eng.continueTask(c, t)
+	}
 }
 
 // continueTask resumes t's in-progress operation (or body) on c.
@@ -620,22 +647,19 @@ func (e *Engine) continueTask(c *Core, t *Task) {
 	}
 }
 
-// runCurrent resumes the current task's goroutine and services the ops it
-// parks with, until the task starts a timed wait (exec/spin) or leaves the
-// core (block/yield/done).
+// runCurrent resumes the current task's body and services the ops it parks
+// with, until the task starts a timed wait (exec/spin) or leaves the core
+// (block/yield/done).
 func (e *Engine) runCurrent(c *Core) {
 	for {
 		t := c.current
 		if t == nil {
 			panic("sim: runCurrent on idle core")
 		}
-		debugf("%v core%d runCurrent resume %s", c.now(), c.ID, t.Name)
 		// Hand control to the task body.
 		c.inBody = true
-		t.resume <- struct{}{}
-		<-t.yield
+		t.resume()
 		c.inBody = false
-		debugf("%v core%d parked %s op=%d", c.now(), c.ID, t.Name, t.op)
 
 		switch t.op {
 		case opExec:
@@ -648,10 +672,9 @@ func (e *Engine) runCurrent(c *Core) {
 			c.execStart = c.now()
 			rem := t.execRem
 			if c.execEv.Armed() {
-				panic("sim: runCurrent overwriting pending execEv from " + c.execEvFrom)
+				panic("sim: runCurrent overwriting pending execEv of " + t.Name)
 			}
-			c.execEvFrom = "runCurrent:" + t.Name
-			c.execEv = c.Schedule(rem, func() { c.execDone() })
+			c.execEv = c.Schedule(rem, c.execDoneFn)
 			return
 		case opSpin:
 			if t.spinOn.Done() {
@@ -662,9 +685,10 @@ func (e *Engine) runCurrent(c *Core) {
 				return
 			}
 			c.execStart = c.now()
-			comp := t.spinOn
-			spinTask := t
-			comp.OnFire(func() { e.spinFired(spinTask) })
+			if t.spinFire == nil {
+				t.spinFire = t.spinFired
+			}
+			t.spinOn.OnFire(t.spinFire)
 			return
 		case opBlock:
 			if e.TaskStopHook != nil {
@@ -710,7 +734,8 @@ func (e *Engine) runCurrent(c *Core) {
 // with no scheduler involvement — the defining property of polling. If the
 // task was preempted mid-spin, it simply finds the completion done when it
 // is next scheduled.
-func (e *Engine) spinFired(t *Task) {
+func (t *Task) spinFired() {
+	e := t.eng
 	if t.state != TaskRunning || t.op != opSpin {
 		return
 	}

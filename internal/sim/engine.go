@@ -3,12 +3,12 @@
 // interrupt delivery, and a pluggable thread scheduler.
 //
 // The engine and every task body execute mutually exclusively — control is
-// handed back and forth over unbuffered channels — so simulations are
+// handed back and forth by runtime coroutine switches — so simulations are
 // deterministic and free of data races by construction, while task bodies
 // are written as ordinary sequential Go code.
 //
 // Scale refactor: events live in a sharded calendar (per-lane heaps under a
-// global min-index), event nodes and task-runner goroutines are pooled, and
+// global min-index), event nodes and task-runner coroutines are pooled, and
 // — when Config.ParallelLanes is set — lanes whose next events fall inside
 // a conservative lookahead window execute concurrently between barriers,
 // with a merge that reassigns sequence numbers in exactly the order a
@@ -79,8 +79,9 @@ type Engine struct {
 	sched Scheduler
 	tasks []*Task
 
-	// Task-runner goroutine pool: finished tasks release their runner for
-	// the next Spawn instead of leaking a parked goroutine per task.
+	// Task-runner coroutine pool: finished tasks release their runner for
+	// the next Spawn instead of leaking a parked coroutine per task. The
+	// mutex is there because lane goroutines dispatch (and so release) too.
 	runnersMu   sync.Mutex
 	freeRunners []*runner
 	allRunners  []*runner
@@ -347,8 +348,7 @@ func (e *Engine) cancelEvent(ev *Event) {
 }
 
 // Spawn creates a task pinned to core and makes it runnable at the current
-// virtual time. The body runs on a pooled runner goroutine under the
-// engine's coroutine discipline.
+// virtual time. The body runs on a pooled runner coroutine (runner.go).
 func (e *Engine) Spawn(name string, core *Core, body func(*Env)) *Task {
 	if e.win != nil {
 		panic("sim: Spawn during a parallel window (spawn serially, e.g. before ParallelAfter)")
@@ -365,11 +365,9 @@ func (e *Engine) Spawn(name string, core *Core, body func(*Env)) *Task {
 	e.tasks = append(e.tasks, t)
 	e.liveTasks.Add(1)
 
-	r := e.takeRunner()
-	t.runner = r
-	t.resume = r.resume
-	t.yield = r.yield
-	r.assign <- t
+	t.wake = func() { e.Wake(t) }
+	t.runner = e.takeRunner()
+	t.runner.task = t
 
 	t.state = TaskRunnable
 	t.StartedAt = e.now
@@ -377,39 +375,6 @@ func (e *Engine) Spawn(name string, core *Core, body func(*Env)) *Task {
 	e.sched.Enqueue(t)
 	e.kickAfterWake(t)
 	return t
-}
-
-// runner is a pooled task-frame: a goroutine plus its handoff channels,
-// reused across task lifetimes so churny workloads do not pay a goroutine
-// spawn (and leak a parked goroutine) per task.
-type runner struct {
-	assign chan *Task
-	resume chan struct{}
-	yield  chan struct{}
-}
-
-func (r *runner) loop() {
-	for t := range r.assign {
-		runTask(t)
-	}
-}
-
-func runTask(t *Task) {
-	// Wait for the first dispatch.
-	<-t.resume
-	defer func() {
-		if rec := recover(); rec != nil {
-			if rec != errAborted {
-				panic(rec)
-			}
-			// Aborted by Engine.Shutdown: unwind quietly and return the
-			// runner to its assign loop.
-			t.yield <- struct{}{}
-		}
-	}()
-	t.body(&Env{t: t})
-	t.op = opDone
-	t.yield <- struct{}{}
 }
 
 func (e *Engine) takeRunner() *runner {
@@ -421,13 +386,8 @@ func (e *Engine) takeRunner() *runner {
 		return r
 	}
 	e.runnersMu.Unlock()
-	r := &runner{
-		assign: make(chan *Task),
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
+	r := newRunner()
 	e.allRunners = append(e.allRunners, r)
-	go r.loop()
 	return r
 }
 
@@ -526,21 +486,17 @@ func (e *Engine) Run(until time.Duration) time.Duration {
 // LiveTasks returns the number of tasks not yet finished.
 func (e *Engine) LiveTasks() int { return int(e.liveTasks.Load()) }
 
-// Shutdown aborts all unfinished task goroutines and retires the runner
-// pool so tests do not leak goroutines. The simulation must not be Run
-// again afterwards.
+// Shutdown unwinds every unfinished task body and retires the runner pool
+// so tests do not leak coroutines. Stopping a runner makes the park its
+// body is suspended in panic with errAborted, so the body's deferred calls
+// run; a body never dispatched is dropped unrun. The simulation must not
+// be Run again afterwards.
 func (e *Engine) Shutdown() {
 	for _, t := range e.tasks {
-		if t.state == TaskDone || t.state == TaskNew {
-			continue
-		}
-		t.aborted = true
-		t.resume <- struct{}{}
-		<-t.yield
 		t.state = TaskDone
 	}
 	for _, r := range e.allRunners {
-		close(r.assign)
+		r.stop()
 	}
 	e.allRunners = nil
 	e.freeRunners = nil

@@ -51,11 +51,11 @@ const (
 	opDone         // task body returned
 )
 
-// Task is a simulated thread. Its body runs on a dedicated goroutine, but
-// the engine and all task bodies are mutually exclusive: exactly one of them
-// executes at any instant, handing control back and forth through unbuffered
-// channels, so the simulation is deterministic and data-race free by
-// construction.
+// Task is a simulated thread. Its body runs on a pooled runtime coroutine
+// (runner.go), and the engine and all task bodies are mutually exclusive:
+// exactly one of them executes at any instant, handing control back and
+// forth by coroutine switches, so the simulation is deterministic and
+// data-race free by construction.
 type Task struct {
 	ID   int
 	Name string
@@ -63,10 +63,6 @@ type Task struct {
 	eng   *Engine
 	body  func(*Env)
 	state TaskState
-
-	// resume hands control to the task goroutine; yield hands it back.
-	resume chan struct{}
-	yield  chan struct{}
 
 	// op and its operands, valid while parked.
 	op      taskOp
@@ -78,11 +74,15 @@ type Task struct {
 	// affinity is the core whose runqueue the task belongs to; tasks are
 	// pinned for the lifetime of the simulation.
 	affinity *Core
-	// runner is the pooled goroutine executing the body; it is released
+	// runner is the pooled coroutine executing the body; it is released
 	// back to the engine's pool when the task finishes.
 	runner *runner
-	// aborted is set by Engine.Shutdown to unwind the goroutine.
-	aborted bool
+
+	// wake (Engine.Wake of this task) and spinFire (spinFired of this
+	// task) are bound once so Sleep, BlockOn and SpinWait build no
+	// closure per call.
+	wake     func()
+	spinFire func()
 
 	// onResume runs on the task's virtual CPU right before the task body
 	// continues — used to inject a userspace interrupt-handler frame for
@@ -126,18 +126,8 @@ func (t *Task) String() string {
 // Affinity returns the core this task is pinned to.
 func (t *Task) Affinity() *Core { return t.affinity }
 
-// park transfers control from the task goroutine back to the engine and
-// waits until the engine resumes this task.
-func (t *Task) park() {
-	t.yield <- struct{}{}
-	<-t.resume
-	if t.aborted {
-		panic(errAborted)
-	}
-}
-
 // Env is the API a task body uses to interact with virtual time and the
-// scheduler. It is only valid on the task's own goroutine.
+// scheduler. It is only valid inside the task's own body.
 type Env struct {
 	t *Task
 }
@@ -208,8 +198,7 @@ func (e *Env) Yield() {
 
 // Sleep blocks the task for d of virtual time.
 func (e *Env) Sleep(d time.Duration) {
-	t := e.t
-	t.affinity.Schedule(d, func() { t.eng.Wake(t) })
+	e.t.affinity.Schedule(d, e.t.wake)
 	e.Block()
 }
 
@@ -219,8 +208,7 @@ func (e *Env) BlockOn(c *Completion) {
 	if c.Done() {
 		return
 	}
-	t := e.t
-	c.OnFire(func() { t.eng.Wake(t) })
+	c.OnFire(e.t.wake)
 	e.Block()
 }
 
@@ -240,9 +228,13 @@ func (t *Task) runResumeHooks() {
 // Completion is a one-shot condition that tasks can poll (SpinWait) or that
 // interrupt handlers can complete. It also records completion time.
 type Completion struct {
-	done   bool
-	at     time.Duration
-	onFire []func()
+	done bool
+	at   time.Duration
+	// first holds the first registered callback inline, so the common
+	// single-waiter completion allocates nothing; more holds the rest in
+	// registration order.
+	first func()
+	more  []func()
 }
 
 // NewCompletion returns an unfired completion.
@@ -257,11 +249,14 @@ func (c *Completion) At() time.Duration { return c.at }
 // OnFire registers a callback invoked when the completion fires. If the
 // completion already fired the callback runs immediately.
 func (c *Completion) OnFire(fn func()) {
-	if c.done {
+	switch {
+	case c.done:
 		fn()
-		return
+	case c.first == nil:
+		c.first = fn
+	default:
+		c.more = append(c.more, fn)
 	}
-	c.onFire = append(c.onFire, fn)
 }
 
 // Fire marks the completion done and runs registered callbacks. Firing an
@@ -275,8 +270,12 @@ func (c *Completion) FireAt(now time.Duration) {
 	}
 	c.done = true
 	c.at = now
-	for _, fn := range c.onFire {
+	if fn := c.first; fn != nil {
+		c.first = nil
 		fn()
 	}
-	c.onFire = nil
+	for _, fn := range c.more {
+		fn()
+	}
+	c.more = nil
 }
