@@ -374,7 +374,7 @@ func TestShardedConcurrentBatchedIO(t *testing.T) {
 				errs[ti] = err
 				return
 			}
-			plan := faultinject.NewPlan(100 + uint64(ti)).
+			plan := faultinject.NewPlan(100+uint64(ti)).
 				On(faultinject.SiteUintrDelay, faultinject.WithProb(0.3, 0)).
 				On(faultinject.SiteUintrDup, faultinject.WithProb(0.3, 0))
 			if err := p.Driver.SetNotifyHook(env, &faultinject.NotifyFaults{Plan: plan, Delay: 10 * time.Microsecond}); err != nil {

@@ -3,6 +3,7 @@ package aeomds
 import (
 	"errors"
 	"fmt"
+	"strconv"
 
 	"aeolia/internal/aeosvc"
 	"aeolia/internal/netsim"
@@ -247,7 +248,7 @@ func (c *Client) Close(env *sim.Env, path string) error {
 }
 
 // objPath names the per-file object on each data node.
-func objPath(ino uint64) string { return fmt.Sprintf("/o%x", ino) }
+func objPath(ino uint64) string { return "/o" + strconv.FormatUint(ino, 16) }
 
 // ensureFD lazily opens the striped object on a data node.
 func (c *Client) ensureFD(env *sim.Env, lay *layout, node uint16) (uint32, error) {

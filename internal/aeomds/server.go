@@ -3,6 +3,7 @@ package aeomds
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"aeolia/internal/netsim"
@@ -38,8 +39,21 @@ func (c Config) opCPU() time.Duration {
 	return c.OpCPU
 }
 
-// ShardEndpoint returns shard i's fabric endpoint name.
-func ShardEndpoint(i int) string { return fmt.Sprintf("mds%d", i) }
+// ShardEndpoint returns shard i's fabric endpoint name, "mds<i>". Every
+// request send names its shard, so the common names are built once.
+func ShardEndpoint(i int) string {
+	if uint(i) < uint(len(shardNames)) {
+		return shardNames[i]
+	}
+	return "mds" + strconv.Itoa(i)
+}
+
+var shardNames = func() (names [64]string) {
+	for i := range names {
+		names[i] = "mds" + strconv.Itoa(i)
+	}
+	return names
+}()
 
 // lease is one live layout lease on the granting (or adopting) shard.
 type lease struct {
@@ -55,7 +69,7 @@ type lease struct {
 type pendTxn struct {
 	req      Request
 	replyTo  string
-	traceTxn uint32   // rename visibility-transaction id
+	traceTxn uint32    // rename visibility-transaction id
 	meta     *FileMeta // rename: the moving record
 	moved    []uint32  // rename: lease ids handed to the destination shard
 }

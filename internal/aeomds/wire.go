@@ -27,9 +27,9 @@ var ErrWire = errors.New("aeomds: malformed wire frame")
 type Op uint8
 
 const (
-	OpLookup Op = iota + 1
-	OpOpen      // open-with-layout: returns the extent map and a lease
-	OpRelease   // lease release (file close), flushes the client's size
+	OpLookup  Op = iota + 1
+	OpOpen       // open-with-layout: returns the extent map and a lease
+	OpRelease    // lease release (file close), flushes the client's size
 	OpMkdir
 	OpUnlink
 	OpReaddir
@@ -250,12 +250,12 @@ type leaseRec struct {
 
 // peerReq is one shard→shard coordination request.
 type peerReq struct {
-	Txn  uint64
-	Kind uint8
-	Dir  string // ingest: destination dir; attach: the new dir's path
-	Name string
-	Ino  uint64
-	Meta FileMeta // ingest payload
+	Txn    uint64
+	Kind   uint8
+	Dir    string // ingest: destination dir; attach: the new dir's path
+	Name   string
+	Ino    uint64
+	Meta   FileMeta // ingest payload
 	Leases []leaseRec
 }
 

@@ -266,8 +266,12 @@ func (g *admGroup) next() *pending {
 			ts.deficit += ts.weight()
 		}
 		ts.deficit--
+		// Shift in place: re-slicing from the front would give up the
+		// backing array's capacity and regrow it on the next enqueue.
 		p := ts.queue[0]
-		ts.queue = ts.queue[1:]
+		n := copy(ts.queue, ts.queue[1:])
+		ts.queue[n] = nil
+		ts.queue = ts.queue[:n]
 		if ts.deficit < 1 {
 			// Credit exhausted; the next dequeue moves on.
 			g.rr++

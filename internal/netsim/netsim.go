@@ -19,6 +19,7 @@ package netsim
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"aeolia/internal/faultinject"
@@ -61,7 +62,8 @@ type Config struct {
 	QueueDepth int
 }
 
-// Msg is one delivered message.
+// Msg is one delivered message. It must not be copied: while in flight it
+// is a node of its link's FIFO.
 type Msg struct {
 	Src, Dst     string
 	SrcID, DstID int // endpoint ids (stable: fabric creation order)
@@ -70,6 +72,9 @@ type Msg struct {
 	DeliveredAt  time.Duration
 	// Dup marks a fault-injected duplicate transmission.
 	Dup bool
+
+	drop bool                // the fault plan's verdict, drawn at send time
+	next atomic.Pointer[Msg] // the link's next in-flight message
 }
 
 // Fabric owns the endpoints and links of one simulated network.
@@ -111,8 +116,11 @@ func (f *Fabric) Endpoint(name string) *Endpoint {
 // needed). Reconnecting an existing pair replaces its configuration.
 func (f *Fabric) Connect(src, dst string, cfg Config) *Link {
 	s, d := f.Endpoint(src), f.Endpoint(dst)
+	site := src + "->" + dst
 	l := &Link{fab: f, id: len(f.links), src: s, dst: d, cfg: cfg,
-		site: src + "->" + dst}
+		site: site, dropSite: "net:drop:" + site, dupSite: "net:dup:" + site}
+	l.head, l.tail = &l.stub, &l.stub
+	l.arriveFn, l.departFn = l.arrive, l.depart
 	f.links = append(f.links, l)
 	s.out[dst] = l
 	return l
@@ -134,7 +142,8 @@ type Endpoint struct {
 	// endpoints fall back to unattributed (engine-lane) scheduling.
 	home *sim.Core
 
-	inbox   []*Msg
+	inbox   []*Msg // undelivered messages are inbox[head:]
+	head    int
 	arrival *sim.Completion
 	deliver func(*Msg)
 	out     map[string]*Link
@@ -167,7 +176,7 @@ func (ep *Endpoint) now() time.Duration {
 func (ep *Endpoint) ID() int { return ep.id }
 
 // Pending returns the number of queued undelivered messages.
-func (ep *Endpoint) Pending() int { return len(ep.inbox) }
+func (ep *Endpoint) Pending() int { return len(ep.inbox) - ep.head }
 
 // Close marks the endpoint closed: in-flight messages that arrive later —
 // including fault-injected duplicates of messages consumed before the close
@@ -177,7 +186,7 @@ func (ep *Endpoint) Pending() int { return len(ep.inbox) }
 // popped after the fact.
 func (ep *Endpoint) Close() {
 	ep.closed = true
-	ep.inbox = nil
+	ep.inbox, ep.head = nil, 0
 }
 
 // Reopen re-enables delivery after Close (a crashed node restarting on the
@@ -198,10 +207,15 @@ func (ep *Endpoint) SetOnDeliver(fn func(*Msg)) { ep.deliver = fn }
 // Arrival re-arms and returns the arrival completion: the next delivery
 // (or SignalArrival call) fires it. Callers building custom wait loops use
 // it with Env.BlockOn or Env.SpinWait; re-check Pending after re-arming and
-// before blocking to avoid lost wakeups.
+// before blocking to avoid lost wakeups. A fired completion is re-armed in
+// place (sim.Completion.Rearm), so only the endpoint's single receiving
+// task may wait on it.
 func (ep *Endpoint) Arrival() *sim.Completion {
-	if ep.arrival == nil || ep.arrival.Done() {
+	switch {
+	case ep.arrival == nil:
 		ep.arrival = sim.NewCompletion()
+	case ep.arrival.Done():
+		ep.arrival.Rearm()
 	}
 	return ep.arrival
 }
@@ -229,20 +243,25 @@ func (ep *Endpoint) Send(env *sim.Env, dst string, payload []byte) error {
 // TryRecv pops the oldest inbox message without blocking or charging CPU
 // (interrupt-context safe). Returns nil when the inbox is empty.
 func (ep *Endpoint) TryRecv() *Msg {
-	if len(ep.inbox) == 0 {
+	if ep.head == len(ep.inbox) {
 		return nil
 	}
-	m := ep.inbox[0]
-	ep.inbox = ep.inbox[1:]
+	m := ep.inbox[ep.head]
+	ep.inbox[ep.head] = nil
+	ep.head++
+	if ep.head == len(ep.inbox) {
+		// Drained: keep the backing array for the next deliveries.
+		ep.inbox, ep.head = ep.inbox[:0], 0
+	}
 	return m
 }
 
 // Recv blocks the calling task until a message arrives, then pops and
 // returns it, charging RxCost.
 func (ep *Endpoint) Recv(env *sim.Env) *Msg {
-	for len(ep.inbox) == 0 {
+	for ep.Pending() == 0 {
 		c := ep.Arrival()
-		if len(ep.inbox) > 0 {
+		if ep.Pending() > 0 {
 			break
 		}
 		env.BlockOn(c)
@@ -258,13 +277,29 @@ type Link struct {
 	src  *Endpoint
 	dst  *Endpoint
 	cfg  Config
-	site string // "<src>-><dst>", names the fault-injection sites
+	site string // "<src>-><dst>"
+
+	// The fault-injection sites "net:drop:<site>" and "net:dup:<site>".
+	dropSite, dupSite string
 
 	busyUntil  time.Duration // serialization horizon (last departure)
 	lastArrive time.Duration // FIFO floor on arrival times
 	queued     int           // accepted but not yet departed
 	seq        uint64        // per-link transmission counter (jitter draws)
 	down       bool          // partitioned: everything arriving is lost
+
+	// In-flight FIFO: every sent message, in send order, until its arrival
+	// event pops it. Arrivals on a link fire in send order (arrival times
+	// are clamped monotone and equal times tie-break on the scheduling
+	// sequence), so one arrival callback, bound once, serves every message.
+	// The queue is intrusive, Vyukov-style: head is the last popped node
+	// (initially stub), and each node's next is atomic because the sender's
+	// lane pushes while the receiver's lane pops, concurrently inside a
+	// parallel window.
+	head, tail *Msg
+	stub       Msg
+
+	arriveFn, departFn func() // l.arrive and l.depart, bound once
 
 	// Stats.
 	Sent, Delivered, Dropped, Duped, Overflows uint64
@@ -321,7 +356,7 @@ func (l *Link) transmit(payload []byte) error {
 		return fmt.Errorf("%w: %s (depth %d)", ErrOverflow, l.site, l.depth())
 	}
 	l.schedule(payload, false)
-	if p := l.fab.plan; p != nil && p.Fire("net:dup:"+l.site) && l.queued < l.depth() {
+	if p := l.fab.plan; p != nil && p.Fire(l.dupSite) && l.queued < l.depth() {
 		// The duplicate is its own transmission (and its own NetSend), so
 		// the analyzer's sent >= delivered+dropped accounting holds.
 		l.Duped++
@@ -356,33 +391,63 @@ func (l *Link) schedule(payload []byte, dup bool) {
 		arrive = l.lastArrive
 	}
 	l.lastArrive = arrive
-	drop := false
-	if p := l.fab.plan; p != nil && p.Fire("net:drop:"+l.site) {
-		drop = true
-	}
 	m := &Msg{Src: l.src.name, Dst: l.dst.name, SrcID: l.src.id, DstID: l.dst.id,
 		Payload: payload, SentAt: now, Dup: dup}
-	onArrive := func() {
-		if drop || l.down {
-			l.Dropped++
-			if tr := eng.Tracer; tr != nil {
-				tr.Emit(l.dst.now(), trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(payload)))
-			}
-			return
-		}
-		l.deliverMsg(m)
+	if p := l.fab.plan; p != nil && p.Fire(l.dropSite) {
+		m.drop = true
 	}
+	l.push(m)
+	// Neither event is ever cancelled: the FIFO relies on every push
+	// getting exactly one arrival.
 	if src := l.src.home; src != nil {
-		src.ScheduleAt(depart, func() { l.queued-- })
+		src.ScheduleAt(depart, l.departFn)
 		if dst := l.dst.home; dst != nil {
-			src.ScheduleOn(dst, arrive, onArrive)
+			src.ScheduleOn(dst, arrive, l.arriveFn)
 		} else {
-			src.ScheduleOn(nil, arrive, onArrive)
+			src.ScheduleOn(nil, arrive, l.arriveFn)
 		}
 		return
 	}
-	eng.ScheduleAt(depart, func() { l.queued-- })
-	eng.ScheduleAt(arrive, onArrive)
+	eng.ScheduleAt(depart, l.departFn)
+	eng.ScheduleAt(arrive, l.arriveFn)
+}
+
+// push appends m to the in-flight FIFO (sender's lane).
+func (l *Link) push(m *Msg) {
+	l.tail.next.Store(m)
+	l.tail = m
+}
+
+// pop removes the oldest in-flight message (receiver's lane). The old head
+// is unlinked so a delivered message the receiver keeps does not pin every
+// later one; nothing else writes its next once it is no longer the tail.
+func (l *Link) pop() *Msg {
+	old := l.head
+	m := old.next.Load()
+	if m == nil {
+		panic("netsim: arrival on a link with nothing in flight")
+	}
+	old.next.Store(nil)
+	l.head = m
+	return m
+}
+
+// depart releases the transmit-queue slot of the oldest departing message
+// (sender's lane).
+func (l *Link) depart() { l.queued-- }
+
+// arrive lands the oldest in-flight message (receiver's lane): it is lost
+// if the fault plan dropped it or the link is down, else delivered.
+func (l *Link) arrive() {
+	m := l.pop()
+	if m.drop || l.down {
+		l.Dropped++
+		if tr := l.fab.eng.Tracer; tr != nil {
+			tr.Emit(l.dst.now(), trace.NetDrop, -1, l.id, trace.NoCID, 0, uint64(len(m.Payload)))
+		}
+		return
+	}
+	l.deliverMsg(m)
 }
 
 // deliverMsg lands one message at the destination endpoint (event context,
@@ -407,6 +472,13 @@ func (l *Link) deliverMsg(m *Msg) {
 		tr.Emit(now, trace.NetDeliver, -1, l.id, trace.NoCID, 0, uint64(len(m.Payload)))
 	}
 	d := l.dst
+	if d.head > 0 && len(d.inbox) == cap(d.inbox) {
+		// Compact instead of growing: a receiver that never fully drains
+		// must not grow the inbox without bound.
+		n := copy(d.inbox, d.inbox[d.head:])
+		clear(d.inbox[n:])
+		d.inbox, d.head = d.inbox[:n], 0
+	}
 	d.inbox = append(d.inbox, m)
 	d.Delivered++
 	if d.deliver != nil {

@@ -1,7 +1,5 @@
 package sim
 
-import "container/heap"
-
 // A shard is one lane's calendar: a binary heap of that lane's pending
 // events. The global order is recovered through the top-level index, which
 // tracks the minimum head across all non-empty shards.
@@ -46,7 +44,7 @@ func (c *calendar) len() int {
 // push inserts ev into its lane's shard.
 func (c *calendar) push(ev *Event) {
 	s := c.shards[ev.lane]
-	heap.Push(&s.h, ev)
+	s.h.push(ev)
 	if ev.index == 0 { // new head: the shard's key changed
 		c.fixTop(s)
 	}
@@ -66,7 +64,7 @@ func (c *calendar) pop() *Event {
 		return nil
 	}
 	s := c.top[0]
-	ev := heap.Pop(&s.h).(*Event)
+	ev := s.h.pop()
 	c.fixTop(s)
 	return ev
 }
@@ -75,9 +73,9 @@ func (c *calendar) pop() *Event {
 func (c *calendar) remove(ev *Event) {
 	s := c.shards[ev.lane]
 	wasHead := ev.index == 0
-	heap.Remove(&s.h, ev.index)
+	s.h.remove(ev.index)
 	// An interior removal cannot change the shard's head: the root of the
-	// heap is untouched by Remove unless the root itself was removed.
+	// heap is untouched by remove unless the root itself was removed.
 	if wasHead || len(s.h) == 0 {
 		c.fixTop(s)
 	}
@@ -89,7 +87,7 @@ func (c *calendar) remove(ev *Event) {
 // dirty; the merge rebuilds the top index wholesale.
 func (c *calendar) removeDeferred(ev *Event) {
 	s := c.shards[ev.lane]
-	heap.Remove(&s.h, ev.index)
+	s.h.remove(ev.index)
 	s.dirty = true
 }
 
@@ -97,63 +95,102 @@ func (c *calendar) removeDeferred(ev *Event) {
 func (c *calendar) fixTop(s *shard) {
 	switch {
 	case len(s.h) == 0 && s.pos >= 0:
-		heap.Remove(&c.top, s.pos)
+		c.top.remove(s.pos)
 	case len(s.h) > 0 && s.pos < 0:
-		heap.Push(&c.top, s)
+		c.top.push(s)
 	case len(s.h) > 0:
-		heap.Fix(&c.top, s.pos)
+		c.top.fix(s.pos, s)
 	}
 	s.dirty = false
 }
 
 // rebuildTop reconstructs the top index from scratch. Required after a
-// parallel window: multiple shards may have changed heads, and heap.Fix is
-// only sound for one violation at a time.
+// parallel window: multiple shards may have changed heads, and fix is only
+// sound for one violation at a time.
 func (c *calendar) rebuildTop() {
 	c.top = c.top[:0]
 	for _, s := range c.shards {
 		s.dirty = false
+		s.pos = -1
 		if len(s.h) > 0 {
-			s.pos = len(c.top)
 			c.top = append(c.top, s)
-		} else {
-			s.pos = -1
 		}
 	}
-	heap.Init(&c.top)
+	c.top.init()
 }
 
-// topHeap orders non-empty shards by their head event's (at, seq).
+// topHeap orders non-empty shards by their head event's (at, seq), with
+// each shard's pos tracking its slot. Same hole sifts as eventHeap.
 type topHeap []*shard
 
-func (t topHeap) Len() int { return len(t) }
-
-func (t topHeap) Less(i, j int) bool {
-	a, b := t[i].h[0], t[j].h[0]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (t topHeap) Swap(i, j int) {
-	t[i], t[j] = t[j], t[i]
-	t[i].pos = i
-	t[j].pos = j
-}
-
-func (t *topHeap) Push(x any) {
-	s := x.(*shard)
-	s.pos = len(*t)
+func (t *topHeap) push(s *shard) {
 	*t = append(*t, s)
+	t.up(len(*t)-1, s)
 }
 
-func (t *topHeap) Pop() any {
+// remove deletes the shard at slot i.
+func (t *topHeap) remove(i int) {
 	old := *t
-	n := len(old)
-	s := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	s, last := old[i], old[n]
+	old[n] = nil
+	*t = old[:n]
+	if i < n {
+		t.fix(i, last)
+	}
 	s.pos = -1
-	*t = old[:n-1]
-	return s
+}
+
+// fix places s at slot i and restores the heap order around it.
+func (t topHeap) fix(i int, s *shard) {
+	if i > 0 && before(s.h[0], t[(i-1)/2].h[0]) {
+		t.up(i, s)
+	} else {
+		t.down(i, s)
+	}
+}
+
+// init heapifies t in O(n) and assigns every pos.
+func (t topHeap) init() {
+	for i, s := range t {
+		s.pos = i
+	}
+	for i := len(t)/2 - 1; i >= 0; i-- {
+		t.down(i, t[i])
+	}
+}
+
+func (t topHeap) up(i int, s *shard) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(s.h[0], t[p].h[0]) {
+			break
+		}
+		t[i] = t[p]
+		t[i].pos = i
+		i = p
+	}
+	t[i] = s
+	s.pos = i
+}
+
+func (t topHeap) down(i int, s *shard) {
+	n := len(t)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(t[r].h[0], t[c].h[0]) {
+			c = r
+		}
+		if !before(t[c].h[0], s.h[0]) {
+			break
+		}
+		t[i] = t[c]
+		t[i].pos = i
+		i = c
+	}
+	t[i] = s
+	s.pos = i
 }

@@ -89,6 +89,35 @@ func (m *calModel) step(w uint32) bool {
 		m.refDelete(want)
 		m.pops = append(m.pops, got)
 	}
+	return m.checkSlots()
+}
+
+// checkSlots asserts the heaps' back-pointers: every pending event's index
+// is its slot in its shard, every non-empty shard's pos is its slot in the
+// top index, and every empty shard is out of the top index (pos -1).
+func (m *calModel) checkSlots() bool {
+	for _, s := range m.cal.shards {
+		for i, ev := range s.h {
+			if ev.index != i || ev.lane != int32(s.id) {
+				m.t.Errorf("shard %d slot %d holds an event with index %d, lane %d", s.id, i, ev.index, ev.lane)
+				return false
+			}
+		}
+		if len(s.h) == 0 && s.pos != -1 {
+			m.t.Errorf("empty shard %d has pos %d, want -1", s.id, s.pos)
+			return false
+		}
+		if len(s.h) > 0 && (s.pos < 0 || s.pos >= len(m.cal.top) || m.cal.top[s.pos] != s) {
+			m.t.Errorf("non-empty shard %d is not at its pos %d in the top index", s.id, s.pos)
+			return false
+		}
+	}
+	for i, s := range m.cal.top {
+		if s.pos != i {
+			m.t.Errorf("top slot %d holds shard %d with pos %d", i, s.id, s.pos)
+			return false
+		}
+	}
 	return true
 }
 
@@ -171,9 +200,9 @@ func TestCalendarShardCountInvariance(t *testing.T) {
 }
 
 // TestCancelBoundsQueueLength is the regression test for the
-// cancel-leaves-garbage bug: Timer.Cancel must heap.Remove the node (and
-// return it to the pool), so a re-arm loop — the watchdog pattern — keeps
-// the queue at O(1), not O(re-arms).
+// cancel-leaves-garbage bug: Timer.Cancel must remove the node from its
+// heap (and return it to the pool), so a re-arm loop — the watchdog
+// pattern — keeps the queue at O(1), not O(re-arms).
 func TestCancelBoundsQueueLength(t *testing.T) {
 	e := NewEngine(0, nil)
 	const rearms = 10000
@@ -193,5 +222,37 @@ func TestCancelBoundsQueueLength(t *testing.T) {
 	e.Run(0)
 	if fired != 1 {
 		t.Fatalf("%d timers fired, want exactly the live one", fired)
+	}
+}
+
+// BenchmarkCalendarSchedulePop measures one pop plus one schedule on a
+// calendar holding a steady 1k events over 4 shards: the engine's per-event
+// queue cost. The popped node is rescheduled a pseudo-random delay later on
+// the next shard, so heads keep moving between shards.
+func BenchmarkCalendarSchedulePop(b *testing.B) {
+	const events, shards = 1024, 4
+	cal := newCalendar()
+	for i := 1; i < shards; i++ {
+		cal.addShard()
+	}
+	var seq uint64
+	x := uint64(0xca1e)
+	delay := func() time.Duration {
+		x = x*6364136223846793005 + 1442695040888963407
+		return time.Duration(x>>54) * time.Nanosecond // 0..1023ns
+	}
+	for i := 0; i < events; i++ {
+		seq++
+		cal.push(&Event{at: delay(), seq: seq, lane: int32(i % shards), state: evPending})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ev := cal.pop()
+		seq++
+		ev.at += delay()
+		ev.seq = seq
+		ev.lane = (ev.lane + 1) % shards
+		cal.push(ev)
 	}
 }

@@ -260,7 +260,7 @@ func (e *Engine) schedule(from, target *Core, at time.Duration, fn func()) Timer
 	lc.tent++
 	if lane == from.lane && at < w.end {
 		ev.state = evWindow
-		pushHeap(&lc.wheap, ev)
+		lc.wheap.push(ev)
 	} else {
 		if at < w.end {
 			panic(fmt.Sprintf("sim: cross-lane event at %v inside lookahead window ending %v (Lookahead exceeds the minimum cross-lane latency)", at, w.end))
@@ -329,7 +329,7 @@ func (e *Engine) cancelEvent(ev *Event) {
 		lc.recycle = append(lc.recycle, ev)
 	case evWindow:
 		lc := w.lcs[ev.lane]
-		removeHeap(&lc.wheap, ev.index)
+		lc.wheap.remove(ev.index)
 		ev.fn = nil
 		if ev.seq&tentBit != 0 {
 			// Window-born: it stays in its parent's emission list and

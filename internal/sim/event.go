@@ -85,38 +85,85 @@ func (tm Timer) At() time.Duration {
 	return tm.ev.at
 }
 
+// before reports whether a orders before b: (at, seq) is a strict total
+// order over live events, so every correct heap pops the same sequence.
+func before(a, b *Event) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
 // eventHeap is a binary min-heap of events ordered by (at, seq). It backs
 // every per-lane calendar shard, the in-window lane heaps, and the merge's
-// replay heap.
+// replay heap. Each node's index tracks its slot; the sifts move a hole
+// instead of swapping, so a level costs one store and one index update.
 type eventHeap []*Event
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
+func (h *eventHeap) push(ev *Event) {
 	*h = append(*h, ev)
+	h.up(len(*h)-1, ev)
 }
 
-func (h *eventHeap) Pop() any {
+// pop removes and returns the minimum event (the heap must be non-empty).
+func (h *eventHeap) pop() *Event {
+	return h.remove(0)
+}
+
+// remove deletes and returns the event at slot i.
+func (h *eventHeap) remove(i int) *Event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	ev, last := old[i], old[n]
+	old[n] = nil
+	*h = old[:n]
+	if i < n {
+		h.fix(i, last)
+	}
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// fix places ev at slot i and restores the heap order around it.
+func (h eventHeap) fix(i int, ev *Event) {
+	if i > 0 && before(ev, h[(i-1)/2]) {
+		h.up(i, ev)
+	} else {
+		h.down(i, ev)
+	}
+}
+
+// up sifts the hole at slot i toward the root until ev fits, then fills it.
+func (h eventHeap) up(i int, ev *Event) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !before(ev, h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = i
+		i = p
+	}
+	h[i] = ev
+	ev.index = i
+}
+
+// down sifts the hole at slot i toward the leaves until ev fits, then
+// fills it.
+func (h eventHeap) down(i int, ev *Event) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(h[r], h[c]) {
+			c = r
+		}
+		if !before(h[c], ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = i
+		i = c
+	}
+	h[i] = ev
+	ev.index = i
 }

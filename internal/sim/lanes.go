@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -61,9 +60,6 @@ type laneCtx struct {
 	panicv any // recovered panic, re-raised by the engine after the join
 }
 
-func pushHeap(h *eventHeap, ev *Event) { heap.Push(h, ev) }
-func removeHeap(h *eventHeap, i int)   { heap.Remove(h, i) }
-
 // parallelReady reports whether the engine may open a parallel window for
 // an event at time at.
 func (e *Engine) parallelReady(at time.Duration) bool {
@@ -112,9 +108,9 @@ func (e *Engine) runWindow(base, until time.Duration) bool {
 		}
 		lc := &laneCtx{lane: int32(s.id), now: e.now, end: end}
 		for len(s.h) > 0 && s.h[0].at < end {
-			ev := heap.Pop(&s.h).(*Event)
+			ev := s.h.pop()
 			ev.state = evWindow
-			heap.Push(&lc.wheap, ev)
+			lc.wheap.push(ev)
 		}
 		w.lcs[s.id] = lc
 		parts = append(parts, lc)
@@ -146,7 +142,7 @@ func (e *Engine) runWindow(base, until time.Duration) bool {
 // cores, their tasks and runqueues) belongs to this lane for the duration.
 func (lc *laneCtx) run() {
 	for len(lc.wheap) > 0 {
-		ev := heap.Pop(&lc.wheap).(*Event)
+		ev := lc.wheap.pop()
 		if ev.at < lc.now {
 			panic("sim: time went backwards in lane")
 		}
@@ -177,7 +173,7 @@ func (e *Engine) merge(parts []*laneCtx) {
 		}
 	}
 	// Detachment and deferred cancels left multiple shard heads changed;
-	// heap.Fix is only sound for one violation, so rebuild from scratch.
+	// fix is only sound for one violation, so rebuild from scratch.
 	e.cal.rebuildTop()
 
 	// Replay. Seed the ready heap with the executed events that already
@@ -192,20 +188,20 @@ func (e *Engine) merge(parts []*laneCtx) {
 		total += len(lc.done)
 		for _, ev := range lc.done {
 			if ev.seq&tentBit == 0 {
-				heap.Push(&ready, ev)
+				ready.push(ev)
 			}
 		}
 	}
 	processed := 0
 	for len(ready) > 0 {
-		p := heap.Pop(&ready).(*Event)
+		p := ready.pop()
 		processed++
 		for _, em := range p.emits {
 			e.seq++
 			em.seq = e.seq
 			switch {
 			case em.state == evDone:
-				heap.Push(&ready, em)
+				ready.push(em)
 			case em.cancelled:
 				e.free(em)
 			default:

@@ -340,3 +340,45 @@ func TestCompletionFireIsIdempotent(t *testing.T) {
 		t.Fatal("OnFire after completion should run immediately")
 	}
 }
+
+// TestCompletionRearm: a rearmed completion is pending again, and the next
+// fire wakes whichever waiter — blocked or spinning — waits on it after the
+// rearm, exactly like a fresh completion would.
+func TestCompletionRearm(t *testing.T) {
+	e := newEngine(t, 1)
+	comp := sim.NewCompletion()
+	var woke []time.Duration
+	e.Spawn("waiter", e.Core(0), func(env *sim.Env) {
+		env.BlockOn(comp) // fired at 10µs
+		woke = append(woke, env.Now())
+		comp.Rearm()
+		if comp.Done() || comp.At() != 0 {
+			t.Errorf("rearmed completion: Done=%v At=%v, want pending", comp.Done(), comp.At())
+		}
+		env.BlockOn(comp) // fired at 40µs
+		woke = append(woke, env.Now())
+		comp.Rearm()
+		env.SpinWait(comp) // fired at 70µs
+		woke = append(woke, env.Now())
+	})
+	for _, at := range []time.Duration{10, 40, 70} {
+		e.ScheduleAt(at*time.Microsecond, func() { comp.FireAt(e.Now()) })
+	}
+	e.Run(0)
+	if len(woke) != 3 {
+		t.Fatalf("waiter woke %d times, want 3", len(woke))
+	}
+	for i, at := range []time.Duration{40, 70} {
+		// A blocked task pays the wakeup path; a spinner resumes on the
+		// fire itself. Either way, never before the fire.
+		if woke[i+1] < at*time.Microsecond {
+			t.Fatalf("wake %d at %v, before its fire at %v", i+1, woke[i+1], at*time.Microsecond)
+		}
+	}
+	if woke[2] != 70*time.Microsecond {
+		t.Fatalf("spinner resumed at %v, want 70µs (polling has no wakeup cost)", woke[2])
+	}
+	if comp.At() != 70*time.Microsecond {
+		t.Fatalf("At = %v after the last fire, want 70µs", comp.At())
+	}
+}

@@ -65,9 +65,18 @@ func (m *Mutex) unlock(e *Engine) {
 		return
 	}
 	next := m.waiters[0]
-	m.waiters = m.waiters[1:]
+	m.waiters = shiftTask(m.waiters)
 	m.owner = next
 	e.Wake(next)
+}
+
+// shiftTask drops the head of a FIFO of waiters in place, keeping the
+// backing array: re-slicing from the front would give up its capacity and
+// make the next append reallocate.
+func shiftTask(q []*Task) []*Task {
+	n := copy(q, q[1:])
+	q[n] = nil
+	return q[:n]
 }
 
 // Locked reports whether the mutex is held.
@@ -147,7 +156,7 @@ func (rw *RWMutex) dispatch(e *Engine) {
 	}
 	if rw.readers == 0 && len(rw.waitWriters) > 0 {
 		next := rw.waitWriters[0]
-		rw.waitWriters = rw.waitWriters[1:]
+		rw.waitWriters = shiftTask(rw.waitWriters)
 		rw.writer = next
 		e.Wake(next)
 		return
@@ -192,17 +201,18 @@ func (wq *WaitQueue) Signal(e *Engine) bool {
 		return false
 	}
 	t := wq.waiters[0]
-	wq.waiters = wq.waiters[1:]
+	wq.waiters = shiftTask(wq.waiters)
 	e.Wake(t)
 	return true
 }
 
-// Broadcast wakes all waiting tasks.
+// Broadcast wakes all waiting tasks. The queue keeps its backing array.
 func (wq *WaitQueue) Broadcast(e *Engine) {
 	for _, t := range wq.waiters {
 		e.Wake(t)
 	}
-	wq.waiters = nil
+	clear(wq.waiters)
+	wq.waiters = wq.waiters[:0]
 }
 
 // Len returns the number of parked tasks.

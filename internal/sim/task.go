@@ -259,6 +259,17 @@ func (c *Completion) OnFire(fn func()) {
 	}
 }
 
+// Rearm returns a fired completion to the pending state so its owner can
+// reuse it instead of allocating a new one; the next Fire wakes whoever
+// waits on it from then on. A fired completion holds no callbacks, so
+// nothing carries over. Only a completion whose every waiter belongs to
+// the caller may be rearmed: a task that saw the old firing but has not
+// yet resumed would, after the rearm, find it pending again.
+func (c *Completion) Rearm() {
+	c.done = false
+	c.at = 0
+}
+
 // Fire marks the completion done and runs registered callbacks. Firing an
 // already-done completion is a no-op.
 func (c *Completion) Fire() { c.FireAt(0) }

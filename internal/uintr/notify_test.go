@@ -90,3 +90,27 @@ func TestNotifyHookSNWins(t *testing.T) {
 		t.Fatalf("SN'd notification reached hook (%d) or core (%d)", h.calls, *raised)
 	}
 }
+
+// TestPostAndNotifyNoHookAllocs: with no hook installed, a post that raises
+// a notification allocates nothing — notify runs once per device
+// completion, so a per-call closure would show up on every I/O.
+func TestPostAndNotifyNoHookAllocs(t *testing.T) {
+	e, u, raised := notifyRig(t)
+	e.Core(0).SetIRQHandler(func(ctx *sim.IRQCtx, vec int) {
+		u.TakePIR()
+		*raised++
+	})
+	step := func() {
+		uintr.PostAndNotify(e, u, 3)
+		e.Run(0)
+	}
+	step() // warm the engine's event pool and calendar
+	const runs = 200
+	before := *raised
+	if a := testing.AllocsPerRun(runs, step); a != 0 {
+		t.Fatalf("PostAndNotify with no hook allocates %v per call, want 0", a)
+	}
+	if got := *raised - before; got != runs+1 {
+		t.Fatalf("%d notifications raised in %d posts, want one each", got, runs+1)
+	}
+}
