@@ -168,15 +168,19 @@ func (c Config) retryBackoff() time.Duration {
 
 // Request is an in-flight I/O request handle.
 type Request struct {
-	op     nvme.Opcode
-	lba    uint64
-	cnt    uint32
-	buf    []byte
-	sgl    [][]byte
-	done   *sim.Completion // fired when the driver has handled the CQE
-	cqe    *sim.Completion // fired when the CQE becomes visible (polling)
-	status nvme.Status
-	cid    uint16
+	op   nvme.Opcode
+	lba  uint64
+	cnt  uint32
+	buf  []byte
+	sgl  [][]byte
+	done *sim.Completion // fired when the driver has handled the CQE
+	cqe  *sim.Completion // fired when the CQE becomes visible (polling)
+	// initial holds the completions of the first attempt, so issuing a
+	// request allocates nothing beyond the Request; a retry swaps in
+	// fresh ones (see resubmit).
+	initial struct{ done, cqe sim.Completion }
+	status  nvme.Status
+	cid     uint16
 	// shard is the index of the queue pair the request was issued on.
 	shard int
 	// ring marks a request submitted through the zero-copy ring datapath;
@@ -700,14 +704,20 @@ func (d *Driver) SubmitBatch(env *sim.Env, op nvme.Opcode, iov []IOVec, priv boo
 			}
 		}
 		// Group segments by shard, preserving order within each shard.
-		byShard := make(map[int][]int, len(th.qps))
+		// Shards then submit in index order: they share one device,
+		// whose channel and bus booking depends on submission order.
+		byShard := make([][]int, len(th.qps))
+		shards := 0
 		for i, v := range iov {
 			s := th.shardFor(v.LBA)
+			if len(byShard[s]) == 0 {
+				shards++
+			}
 			byShard[s] = append(byShard[s], i)
 		}
 		// Capacity precheck across every shard keeps admission atomic.
 		for s, idxs := range byShard {
-			if th.qps[s].Inflight()+len(idxs) > d.cfg.QueueDepth-1 {
+			if len(idxs) > 0 && th.qps[s].Inflight()+len(idxs) > d.cfg.QueueDepth-1 {
 				err = fmt.Errorf("%w (shard %d: %d inflight + %d batch > depth %d)",
 					nvme.ErrSQFull, s, th.qps[s].Inflight(), len(idxs), d.cfg.QueueDepth)
 				return
@@ -717,44 +727,48 @@ func (d *Driver) SubmitBatch(env *sim.Env, op nvme.Opcode, iov []IOVec, priv boo
 		if d.cfg.ZeroCopyRing {
 			perCmd = timing.RingPrep
 		}
-		env.Exec(time.Duration(len(iov))*perCmd + time.Duration(len(byShard))*timing.DoorbellWrite)
+		env.Exec(time.Duration(len(iov))*perCmd + time.Duration(shards)*timing.DoorbellWrite)
 		now := env.Now()
 		reqs = make([]*Request, len(iov))
 		for s, idxs := range byShard {
+			if len(idxs) == 0 {
+				continue
+			}
 			entries := make([]nvme.SubmissionEntry, len(idxs))
+			done := make([]*sim.Completion, len(idxs))
 			for j, i := range idxs {
 				v := iov[i]
 				entries[j] = nvme.SubmissionEntry{Opcode: op, SLBA: v.LBA, NLB: v.Cnt, Data: v.Buf, SGL: v.SG, Prio: th.prioTag()}
-			}
-			if th.rings != nil {
-				entries = th.stageRing(s, entries)
-			}
-			subs, serr := th.qps[s].SubmitBatch(entries)
-			if serr != nil {
-				err = serr
-				return
-			}
-			for j, i := range idxs {
-				v := iov[i]
 				req := &Request{
 					op:          op,
 					lba:         v.LBA,
 					cnt:         v.Cnt,
 					buf:         v.Buf,
 					sgl:         v.SG,
-					done:        sim.NewCompletion(),
-					cqe:         subs[j].Done,
-					cid:         subs[j].CID,
 					shard:       s,
 					ring:        th.rings != nil,
 					attempts:    1,
 					SubmittedAt: now,
 				}
+				req.done, req.cqe = &req.initial.done, &req.initial.cqe
+				done[j] = req.cqe
+				reqs[i] = req
+			}
+			if th.rings != nil {
+				entries = th.stageRing(s, entries)
+			}
+			first, serr := th.qps[s].SubmitBatch(entries, done)
+			if serr != nil {
+				err = serr
+				return
+			}
+			for j, i := range idxs {
+				req := reqs[i]
+				req.cid = first + uint16(j)
 				th.pending[pendKey{s, req.cid}] = req
 				th.Submitted++
 				th.BatchSubmitted++
 				th.armWatchdog(req)
-				reqs[i] = req
 			}
 		}
 		th.Batches++
@@ -894,11 +908,11 @@ func (th *Thread) submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, b
 		lba:         lba,
 		cnt:         cnt,
 		buf:         buf,
-		done:        sim.NewCompletion(),
 		shard:       th.shardFor(lba),
 		ring:        th.rings != nil,
 		SubmittedAt: env.Now(),
 	}
+	req.done, req.cqe = &req.initial.done, &req.initial.cqe
 	qp := th.qps[req.shard]
 	entry := nvme.SubmissionEntry{Opcode: op, SLBA: lba, NLB: cnt, Data: buf, Prio: th.prioTag()}
 	if th.rings != nil {
@@ -907,13 +921,11 @@ func (th *Thread) submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, b
 			entry, _ = th.rings[req.shard].Pop()
 		}
 	}
-	cqe, err := qp.Submit(entry)
+	cid, err := qp.Submit(entry, req.cqe)
 	if err != nil {
 		return nil, err
 	}
-	req.cqe = cqe
-	// The CID assigned by the queue pair is the last one issued.
-	req.cid = qp.LastCID()
+	req.cid = cid
 	req.attempts++
 	th.pending[pendKey{req.shard, req.cid}] = req
 	th.Submitted++
@@ -926,15 +938,18 @@ func (th *Thread) submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, b
 // retry goes straight to the queue pair, like a storage driver requeueing a
 // failed command.
 func (th *Thread) resubmit(env *sim.Env, req *Request) error {
+	// Fresh completions, not rearmed ones: the previous attempt's watchdog
+	// tells a superseded submission apart by req.done's identity.
 	req.done = sim.NewCompletion()
 	req.status = nvme.StatusSuccess
 	qp := th.qps[req.shard]
-	cqe, err := qp.Submit(nvme.SubmissionEntry{Opcode: req.op, SLBA: req.lba, NLB: req.cnt, Data: req.buf, SGL: req.sgl, Prio: th.prioTag()})
+	cqe := sim.NewCompletion()
+	cid, err := qp.Submit(nvme.SubmissionEntry{Opcode: req.op, SLBA: req.lba, NLB: req.cnt, Data: req.buf, SGL: req.sgl, Prio: th.prioTag()}, cqe)
 	if err != nil {
 		return err
 	}
 	req.cqe = cqe
-	req.cid = qp.LastCID()
+	req.cid = cid
 	req.attempts++
 	th.pending[pendKey{req.shard, req.cid}] = req
 	th.Submitted++
@@ -1075,8 +1090,11 @@ func (d *Driver) othersRunnable(env *sim.Env) bool {
 // drainShard consumes all visible CQEs on one queue pair and fires their
 // requests.
 func (th *Thread) drainShard(si int, now time.Duration) int {
+	// A stack buffer holds a typical drain; a deeper one grows onto the
+	// heap rather than splitting the poll.
+	var buf [32]nvme.CompletionEntry
 	n := 0
-	for _, ce := range th.qps[si].Poll(0) {
+	for _, ce := range th.qps[si].Poll(buf[:0], 0) {
 		req := th.pending[pendKey{si, ce.CID}]
 		if req == nil {
 			continue

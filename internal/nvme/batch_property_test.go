@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"aeolia/internal/nvme"
+	"aeolia/internal/sim"
 )
 
 // TestBatchRingInvariants is the property test locking in the SQ/CQ ring
@@ -17,6 +18,9 @@ import (
 //   - the CQ head never crosses the tail (occupancy stays in [0, depth]);
 //   - the phase bit flips exactly once per CQ wrap (i.e. it equals the
 //     initial phase iff the number of completed laps is even);
+//   - free command trackers plus commands in flight equal the depth;
+//   - SubmitBatch returns the CID after the last one assigned, and each
+//     entry's caller-owned completion fires;
 //   - every submitted CID completes exactly once — no lost and no
 //     duplicated completion.
 func TestBatchRingInvariants(t *testing.T) {
@@ -32,6 +36,8 @@ func TestBatchRingInvariants(t *testing.T) {
 		seen := make(map[uint16]int)
 		completedTotal := 0
 		submittedTotal := 0
+		var lastCID uint16
+		var dones []*sim.Completion
 
 		checkRings := func(where string) bool {
 			if h, tl := qp.SQHead(), qp.SQTail(); h < 0 || h >= depth || tl < 0 || tl >= depth {
@@ -40,6 +46,10 @@ func TestBatchRingInvariants(t *testing.T) {
 			}
 			if h, tl := qp.CQHead(), qp.CQTail(); h < 0 || h >= depth || tl < 0 || tl >= depth {
 				t.Logf("%s: CQ head/tail out of range: %d/%d depth %d", where, h, tl, depth)
+				return false
+			}
+			if free, in := qp.FreeTrackers(), qp.Inflight(); free+in != depth {
+				t.Logf("%s: %d free trackers + %d in flight != depth %d", where, free, in, depth)
 				return false
 			}
 			if occ := qp.CQOccupied(); occ < 0 || occ > depth {
@@ -70,7 +80,7 @@ func TestBatchRingInvariants(t *testing.T) {
 		drain := func() bool {
 			e.Run(0)
 			completedTotal = int(qp.Completed)
-			for _, ce := range qp.Poll(0) {
+			for _, ce := range qp.Poll(nil, 0) {
 				seen[ce.CID]++
 			}
 			return checkRings("drain")
@@ -82,7 +92,11 @@ func TestBatchRingInvariants(t *testing.T) {
 			for i := range entries {
 				entries[i] = nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i % 4096), NLB: 1, Data: buf}
 			}
-			subs, err := qp.SubmitBatch(entries)
+			done := make([]*sim.Completion, n)
+			for i := range done {
+				done[i] = sim.NewCompletion()
+			}
+			first, err := qp.SubmitBatch(entries, done)
 			if errors.Is(err, nvme.ErrSQFull) {
 				// Over-capacity batches must be rejected wholesale:
 				// nothing submitted, rings untouched.
@@ -95,10 +109,12 @@ func TestBatchRingInvariants(t *testing.T) {
 				t.Logf("SubmitBatch: %v", err)
 				return false
 			}
-			if len(subs) != n {
-				t.Logf("SubmitBatch returned %d handles for %d entries", len(subs), n)
+			if first != lastCID+1 {
+				t.Logf("SubmitBatch first CID %d, want %d", first, lastCID+1)
 				return false
 			}
+			lastCID += uint16(n)
+			dones = append(dones, done...)
 			submittedTotal += n
 			if !checkRings("post-submit") {
 				return false
@@ -118,6 +134,12 @@ func TestBatchRingInvariants(t *testing.T) {
 		for cid, cnt := range seen {
 			if cnt != 1 {
 				t.Logf("CID %d completed %d times", cid, cnt)
+				return false
+			}
+		}
+		for i, c := range dones {
+			if !c.Done() {
+				t.Logf("completion of command %d never fired", i)
 				return false
 			}
 		}
@@ -141,7 +163,7 @@ func TestSubmitBatchAtomicRejection(t *testing.T) {
 		entries[i] = nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: uint64(i), NLB: 1, Data: buf}
 	}
 	tail, doorbells := qp.SQTail(), qp.SQDoorbells
-	if _, err := qp.SubmitBatch(entries); !errors.Is(err, nvme.ErrSQFull) {
+	if _, err := qp.SubmitBatch(entries, nil); !errors.Is(err, nvme.ErrSQFull) {
 		t.Fatalf("oversized batch: %v, want ErrSQFull", err)
 	}
 	if qp.SQTail() != tail || qp.SQDoorbells != doorbells || qp.Inflight() != 0 {
@@ -149,7 +171,7 @@ func TestSubmitBatchAtomicRejection(t *testing.T) {
 			tail, qp.SQTail(), doorbells, qp.SQDoorbells, qp.Inflight())
 	}
 	// A batch that exactly fits is accepted with a single doorbell write.
-	if _, err := qp.SubmitBatch(entries[:3]); err != nil {
+	if _, err := qp.SubmitBatch(entries[:3], nil); err != nil {
 		t.Fatalf("exact-fit batch: %v", err)
 	}
 	if qp.SQDoorbells != doorbells+1 {
@@ -173,7 +195,7 @@ func TestInterruptCoalescing(t *testing.T) {
 	submitN := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf}); err != nil {
+			if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -188,7 +210,7 @@ func TestInterruptCoalescing(t *testing.T) {
 	if qp.IRQCoalesced.Load() != 3 || qp.IRQRaised.Load() != 1 {
 		t.Fatalf("IRQCoalesced/IRQRaised = %d/%d, want 3/1", qp.IRQCoalesced.Load(), qp.IRQRaised.Load())
 	}
-	qp.Poll(0)
+	qp.Poll(nil, 0)
 
 	// Timer path: 2 completions sit below the threshold until MaxDelay
 	// expires, then one aggregated interrupt fires.
@@ -204,13 +226,13 @@ func TestInterruptCoalescing(t *testing.T) {
 	if irqs != 2 {
 		t.Fatalf("irqs = %d after aggregation time, want 2", irqs)
 	}
-	qp.Poll(0)
+	qp.Poll(nil, 0)
 
 	// Suppression path: polling consumes the aggregated CQEs before the
 	// timer fires; the armed interrupt is cancelled, not raised.
 	submitN(2)
 	e.Run(e.Now() + 20*time.Microsecond) // completions post, timer still armed
-	qp.Poll(0)
+	qp.Poll(nil, 0)
 	if qp.NotifyPending() {
 		t.Fatal("NotifyPending = true after the poll drained the CQ")
 	}

@@ -323,55 +323,46 @@ func max(a, b time.Duration) time.Duration {
 	return b
 }
 
-// process executes a submitted command: schedules data movement and CQE
-// posting at the modeled completion time.
-func (d *Device) process(qp *QueuePair, e SubmissionEntry) {
+// process executes a command the doorbell bound to tracker t: it decides
+// the outcome now (validation, injected fault, media booking) and schedules
+// the tracker's complete callback at the modeled completion time.
+func (d *Device) process(t *tracker) {
+	qp, e := t.qp, &t.sqe
+	if t.fire == nil {
+		t.fire = t.complete
+	}
 	qp.emit(trace.DeviceStart, uint32(e.CID), e.SLBA, uint64(e.NLB))
-	st := d.validate(&e)
-	if st != StatusSuccess {
+	t.status = d.validate(e)
+	if t.status != StatusSuccess {
 		// Errors complete quickly, without touching media.
-		d.eng.Schedule(200*time.Nanosecond, func() {
-			qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(st))
-			qp.postCompletion(e.CID, st)
-		})
+		d.eng.Schedule(200*time.Nanosecond, t.fire)
 		return
 	}
 	var fault CommandFault
 	if d.inj != nil {
-		fault = d.inj.InjectCommand(&e)
+		fault = d.inj.InjectCommand(e)
 		if fault.ExtraLatency > 0 {
 			d.InjectedLatency++
 		}
 	}
 	if fault.Status != StatusSuccess {
 		d.InjectedErrors++
+		t.status = fault.Status
 		if e.Opcode == OpWrite && fault.TornBlocks > 0 {
 			// The transfer tore mid-flight: a prefix of the data
 			// reaches the volatile cache before the command fails.
 			d.InjectedTorn++
-			torn := fault.TornBlocks
-			if torn > e.NLB {
-				torn = e.NLB
-			}
+			torn := min(fault.TornBlocks, e.NLB)
 			src := e.Data
 			if len(e.SGL) > 0 {
 				src = flattenSGL(e.SGL)
 			}
-			tornData := src[:int(torn)*d.cfg.BlockSize]
-			d.eng.Schedule(200*time.Nanosecond+fault.ExtraLatency, func() {
-				d.writeRaw(e.SLBA, torn, tornData)
-				qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(fault.Status))
-				qp.postCompletion(e.CID, fault.Status)
-			})
-			return
+			t.torn = src[:int(torn)*d.cfg.BlockSize]
 		}
-		d.eng.Schedule(200*time.Nanosecond+fault.ExtraLatency, func() {
-			qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(fault.Status))
-			qp.postCompletion(e.CID, fault.Status)
-		})
+		d.eng.Schedule(200*time.Nanosecond+fault.ExtraLatency, t.fire)
 		return
 	}
-	done := d.completionTime(&e) + fault.ExtraLatency
+	done := d.completionTime(e) + fault.ExtraLatency
 	switch e.Opcode {
 	case OpRead:
 		d.ReadOps++
@@ -382,7 +373,15 @@ func (d *Device) process(qp *QueuePair, e SubmissionEntry) {
 	case OpFlush:
 		d.FlushOps++
 	}
-	d.eng.ScheduleAt(done, func() {
+	d.eng.ScheduleAt(done, t.fire)
+}
+
+// complete finishes the tracker's command at its completion time: it moves
+// the data, returns the tracker to the free stack (so a handler submitting
+// from inside the interrupt can reuse it) and posts the CQE.
+func (t *tracker) complete() {
+	qp, d, e := t.qp, t.qp.dev, &t.sqe
+	if t.status == StatusSuccess {
 		// Data movement happens at completion time: a read observes
 		// the medium as of completion; a write lands in the volatile
 		// cache then (a flush makes it durable).
@@ -402,9 +401,14 @@ func (d *Device) process(qp *QueuePair, e SubmissionEntry) {
 		case OpFlush:
 			d.destage()
 		}
-		qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(StatusSuccess))
-		qp.postCompletion(e.CID, StatusSuccess)
-	})
+	} else if t.torn != nil {
+		d.writeRaw(e.SLBA, uint32(len(t.torn)/d.cfg.BlockSize), t.torn)
+	}
+	qp.emit(trace.DeviceDone, uint32(e.CID), e.SLBA, uint64(t.status))
+	cid, st, done, prio := e.CID, t.status, t.done, e.Prio
+	*t = tracker{qp: qp, fire: t.fire}
+	qp.free = append(qp.free, t)
+	qp.postCompletion(cid, st, done, prio)
 }
 
 // moveSGL transfers nlb blocks between the medium and a scatter-gather

@@ -25,8 +25,8 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 	for i := range src {
 		src[i] = byte(i % 251)
 	}
-	wc, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 10, NLB: 3, Data: src})
-	if err != nil {
+	wc := sim.NewCompletion()
+	if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 10, NLB: 3, Data: src}, wc); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(0)
@@ -34,15 +34,15 @@ func TestWriteThenReadRoundTrip(t *testing.T) {
 		t.Fatal("write not completed")
 	}
 	dst := make([]byte, 512*3)
-	rc, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 10, NLB: 3, Data: dst})
-	if err != nil {
+	rc := sim.NewCompletion()
+	if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 10, NLB: 3, Data: dst}, rc); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(0)
 	if !rc.Done() {
 		t.Fatal("read not completed")
 	}
-	if got := qp.Poll(0); len(got) != 2 {
+	if got := qp.Poll(nil, 0); len(got) != 2 {
 		t.Fatalf("polled %d CQEs, want 2", len(got))
 	}
 	if !bytes.Equal(src, dst) {
@@ -58,7 +58,7 @@ func TestUnwrittenBlocksReadZero(t *testing.T) {
 	for i := range dst {
 		dst[i] = 0xff
 	}
-	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 5, NLB: 1, Data: dst})
+	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 5, NLB: 1, Data: dst}, nil)
 	e.Run(0)
 	for _, b := range dst {
 		if b != 0 {
@@ -71,9 +71,9 @@ func TestOutOfRangeRejected(t *testing.T) {
 	e, d := newDev(nvme.Config{BlockSize: 512, NumBlocks: 8})
 	qp, _ := d.CreateQueuePair(8)
 	buf := make([]byte, 512*4)
-	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 6, NLB: 4, Data: buf})
+	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 6, NLB: 4, Data: buf}, nil)
 	e.Run(0)
-	ces := qp.Poll(0)
+	ces := qp.Poll(nil, 0)
 	if len(ces) != 1 || ces[0].Status != nvme.StatusLBARange {
 		t.Fatalf("got %+v, want one LBA-range error", ces)
 	}
@@ -82,9 +82,9 @@ func TestOutOfRangeRejected(t *testing.T) {
 func TestShortBufferRejected(t *testing.T) {
 	e, d := newDev(nvme.Config{BlockSize: 512, NumBlocks: 8})
 	qp, _ := d.CreateQueuePair(8)
-	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 0, NLB: 2, Data: make([]byte, 512)})
+	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 0, NLB: 2, Data: make([]byte, 512)}, nil)
 	e.Run(0)
-	ces := qp.Poll(0)
+	ces := qp.Poll(nil, 0)
 	if len(ces) != 1 || ces[0].Status != nvme.StatusInvalidField {
 		t.Fatalf("got %+v, want invalid-field error", ces)
 	}
@@ -94,9 +94,9 @@ func TestReadLatencyMatchesModel(t *testing.T) {
 	e, d := newDev(nvme.Config{BlockSize: 4096, NumBlocks: 1024})
 	qp, _ := d.CreateQueuePair(8)
 	buf := make([]byte, 4096)
-	var comp *sim.Completion
+	comp := sim.NewCompletion()
 	e.Schedule(0, func() {
-		comp, _ = qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 0, NLB: 1, Data: buf})
+		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 0, NLB: 1, Data: buf}, comp)
 	})
 	e.Run(0)
 	want := nvme.P5800X().ServiceTime(nvme.OpRead, 4096)
@@ -118,7 +118,8 @@ func TestChannelParallelismAndBusCap(t *testing.T) {
 	e.Schedule(0, func() {
 		for i := range comps {
 			buf := make([]byte, 4096)
-			comps[i], _ = qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf})
+			comps[i] = sim.NewCompletion()
+			qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf}, comps[i])
 		}
 	})
 	e.Run(0)
@@ -146,7 +147,7 @@ func TestInterruptCallbackOnCompletion(t *testing.T) {
 		}
 	}
 	buf := make([]byte, 512)
-	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 0, NLB: 1, Data: buf})
+	qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 0, NLB: 1, Data: buf}, nil)
 	e.Run(0)
 	if fires != 1 {
 		t.Fatalf("OnCompletion fired %d times, want 1", fires)
@@ -159,7 +160,7 @@ func TestSubmissionQueueFull(t *testing.T) {
 	var errFull error
 	for i := 0; i < 4; i++ {
 		buf := make([]byte, 512)
-		_, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf})
+		_, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf}, nil)
 		if err != nil {
 			errFull = err
 		}
@@ -186,8 +187,8 @@ func TestQueuePairLimit(t *testing.T) {
 func TestFlushCompletes(t *testing.T) {
 	e, d := newDev(nvme.Config{BlockSize: 512, NumBlocks: 64})
 	qp, _ := d.CreateQueuePair(8)
-	c, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpFlush})
-	if err != nil {
+	c := sim.NewCompletion()
+	if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpFlush}, c); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(0)
@@ -204,12 +205,12 @@ func TestPhaseBitAlternates(t *testing.T) {
 	for batch := 0; batch < 2; batch++ {
 		for i := 0; i < 4; i++ {
 			buf := make([]byte, 512)
-			if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf}); err != nil {
+			if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: uint64(i), NLB: 1, Data: buf}, nil); err != nil {
 				// depth-4 ring holds 3 in flight
 				break
 			}
 			e.Run(0)
-			for _, ce := range qp.Poll(0) {
+			for _, ce := range qp.Poll(nil, 0) {
 				phases = append(phases, ce.Phase)
 			}
 		}
@@ -241,12 +242,12 @@ func TestPropertyRoundTripArbitraryData(t *testing.T) {
 			s = s*6364136223846793005 + 1442695040888963407
 			src[i] = byte(s >> 56)
 		}
-		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: slba, NLB: nlb, Data: src})
+		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: slba, NLB: nlb, Data: src}, nil)
 		e.Run(0)
 		dst := make([]byte, len(src))
-		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: slba, NLB: nlb, Data: dst})
+		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: slba, NLB: nlb, Data: dst}, nil)
 		e.Run(0)
-		qp.Poll(0)
+		qp.Poll(nil, 0)
 		return bytes.Equal(src, dst)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
@@ -262,13 +263,13 @@ func TestWriteDurabilityTiming(t *testing.T) {
 	src := bytes.Repeat([]byte{0xaa}, 512)
 	dst := make([]byte, 512)
 	e.Schedule(0, func() {
-		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 3, NLB: 1, Data: src})
+		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 3, NLB: 1, Data: src}, nil)
 	})
 	// Read issued 1ns later: its own completion lands on another channel
 	// at a similar time; since read base < write base it completes first
 	// and must see zeros.
 	e.Schedule(1, func() {
-		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 3, NLB: 1, Data: dst})
+		qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpRead, SLBA: 3, NLB: 1, Data: dst}, nil)
 	})
 	e.Run(0)
 	if dst[0] != 0 {

@@ -92,7 +92,11 @@ type QueuePair struct {
 	dev   *Device
 	depth int
 
-	sq     []SubmissionEntry
+	sq []SubmissionEntry
+	// sqDone parallels sq: the host's completion handle for the SQE in the
+	// same slot (nil if the host waits on none). It travels with the SQE
+	// into the tracker that executes it, so no CID lookup is needed.
+	sqDone []*sim.Completion
 	sqTail atomic.Int64 // host-published: next SQ slot to fill
 	sqHead atomic.Int64 // device-published: next SQ slot to consume
 
@@ -110,12 +114,12 @@ type QueuePair struct {
 	// "wire" of the MSI-X interrupt. Polling drivers leave it nil.
 	OnCompletion func(qp *QueuePair)
 
-	// pending maps CID -> per-command completion handles, letting driver
-	// models wait for specific commands.
-	pending map[uint16]*sim.Completion
-	// prio remembers in-flight commands' non-zero priority tags so the
-	// completion side can apply the per-class coalescing bypass.
-	prio map[uint16]uint8
+	// trackers is the fixed command-tracker table (one per queue slot,
+	// like SPDK's nvme_tracker or blk-mq tags); free is the stack of idle
+	// ones. A command holds a tracker from the doorbell write that hands
+	// it to the device until its CQE is posted.
+	trackers []tracker
+	free     []*tracker
 
 	nextCID uint16
 
@@ -159,17 +163,43 @@ func (qp *QueuePair) emit(typ trace.Type, cid uint32, lba, aux uint64) {
 }
 
 func newQueuePair(d *Device, id, depth int) *QueuePair {
-	return &QueuePair{
-		ID:      id,
-		dev:     d,
-		depth:   depth,
-		sq:      make([]SubmissionEntry, depth),
-		cq:      make([]CompletionEntry, depth),
-		phase:   true,
-		pending: make(map[uint16]*sim.Completion),
-		prio:    make(map[uint16]uint8),
+	qp := &QueuePair{
+		ID:       id,
+		dev:      d,
+		depth:    depth,
+		sq:       make([]SubmissionEntry, depth),
+		sqDone:   make([]*sim.Completion, depth),
+		cq:       make([]CompletionEntry, depth),
+		phase:    true,
+		trackers: make([]tracker, depth),
+		free:     make([]*tracker, depth),
 	}
+	for i := range qp.trackers {
+		t := &qp.trackers[i]
+		t.qp = qp
+		qp.free[depth-1-i] = t
+	}
+	return qp
 }
+
+// tracker is the device-side state of one in-flight command: the fetched
+// SQE, the host's completion handle, and the outcome the device will post.
+type tracker struct {
+	qp   *QueuePair
+	sqe  SubmissionEntry
+	done *sim.Completion
+	// status is the completion status to post; torn is the prefix of a
+	// torn write that reaches the write cache before the command fails.
+	status Status
+	torn   []byte
+	// fire is complete bound once, on the tracker's first use, so every
+	// later command schedules it without building a closure.
+	fire func()
+}
+
+// FreeTrackers returns the number of idle command trackers; together with
+// the commands in flight it always equals the queue depth.
+func (qp *QueuePair) FreeTrackers() int { return len(qp.free) }
 
 // Depth returns the queue depth.
 func (qp *QueuePair) Depth() int { return qp.depth }
@@ -215,90 +245,84 @@ var ErrSQFull = errors.New("nvme: submission queue full")
 var ErrDoorbell = errors.New("nvme: invalid doorbell write")
 
 // Submit places a command into the submission queue and rings the tail
-// doorbell. It returns a completion handle that fires when the CQE is
-// posted. The caller must not reuse e.Data until completion.
-func (qp *QueuePair) Submit(e SubmissionEntry) (*sim.Completion, error) {
+// doorbell, returning the CID it assigned. done, if non-nil, is the
+// caller-owned completion fired when the CQE is posted. The caller must not
+// reuse e.Data until completion.
+func (qp *QueuePair) Submit(e SubmissionEntry, done *sim.Completion) (cid uint16, err error) {
 	if qp.Inflight() >= qp.depth-1 {
-		return nil, fmt.Errorf("%w: queue %d", ErrSQFull, qp.ID)
+		return 0, fmt.Errorf("%w: queue %d", ErrSQFull, qp.ID)
 	}
 	qp.nextCID++
 	e.CID = qp.nextCID
 	tail := int(qp.sqTail.Load())
 	qp.sq[tail] = e
-	comp := sim.NewCompletion()
-	qp.pending[e.CID] = comp
-	if e.Prio != 0 {
-		qp.prio[e.CID] = e.Prio
-	}
+	qp.sqDone[tail] = done
 	qp.emit(trace.SQEPrep, uint32(e.CID), e.SLBA, uint64(e.NLB))
 
 	// Ringing the doorbell hands the command to the device.
 	if err := qp.WriteSQDoorbell((tail + 1) % qp.depth); err != nil {
-		delete(qp.pending, e.CID)
-		delete(qp.prio, e.CID)
-		return nil, err
+		qp.sqDone[tail] = nil
+		return 0, err
 	}
-	return comp, nil
-}
-
-// Submitted pairs a batch-accepted command's assigned CID with its
-// completion handle.
-type Submitted struct {
-	CID  uint16
-	Done *sim.Completion
+	return e.CID, nil
 }
 
 // SubmitBatch places all entries into the submission queue and rings the
 // tail doorbell once — the batched-submission hot path: N commands, one
-// MMIO write, and the device drains the whole burst. The batch is
-// all-or-nothing: if the SQ lacks room for every entry, nothing is enqueued
-// and ErrSQFull is returned. Callers must not reuse any entry's Data until
-// its completion fires.
-func (qp *QueuePair) SubmitBatch(entries []SubmissionEntry) ([]Submitted, error) {
+// MMIO write, and the device drains the whole burst. done is nil or
+// parallel to entries: done[i], if non-nil, fires when entry i's CQE is
+// posted. Entry i gets CID first+i (uint16 arithmetic, so CIDs wrap). The
+// batch is all-or-nothing: if the SQ lacks room for every entry, nothing is
+// enqueued and ErrSQFull is returned. Callers must not reuse any entry's
+// Data until its completion fires.
+func (qp *QueuePair) SubmitBatch(entries []SubmissionEntry, done []*sim.Completion) (first uint16, err error) {
 	n := len(entries)
 	if n == 0 {
-		return nil, nil
+		return 0, nil
 	}
 	if qp.Inflight()+n > qp.depth-1 {
-		return nil, fmt.Errorf("%w: queue %d (batch %d, free %d)",
+		return 0, fmt.Errorf("%w: queue %d (batch %d, free %d)",
 			ErrSQFull, qp.ID, n, qp.depth-1-qp.Inflight())
 	}
-	out := make([]Submitted, n)
-	tail := int(qp.sqTail.Load())
+	first = qp.nextCID + 1
+	start := int(qp.sqTail.Load())
+	tail := start
 	for i, e := range entries {
 		qp.nextCID++
 		e.CID = qp.nextCID
 		qp.sq[tail] = e
-		tail = (tail + 1) % qp.depth
-		comp := sim.NewCompletion()
-		qp.pending[e.CID] = comp
-		if e.Prio != 0 {
-			qp.prio[e.CID] = e.Prio
+		if done != nil {
+			qp.sqDone[tail] = done[i]
 		}
-		out[i] = Submitted{CID: e.CID, Done: comp}
+		tail = (tail + 1) % qp.depth
 		qp.emit(trace.SQEPrep, uint32(e.CID), e.SLBA, uint64(e.NLB))
 	}
 	if err := qp.WriteSQDoorbell(tail); err != nil {
-		for _, s := range out {
-			delete(qp.pending, s.CID)
-			delete(qp.prio, s.CID)
+		for i := 0; i < n; i++ {
+			qp.sqDone[(start+i)%qp.depth] = nil
 		}
-		return nil, err
+		return 0, err
 	}
-	return out, nil
+	return first, nil
 }
 
 // WriteSQDoorbell writes the submission-queue tail doorbell: the device
-// consumes every SQ slot from the current head up to (excluding) tail. An
-// out-of-range value is rejected, like a controller flagging an invalid
+// consumes every SQ slot from the current head up to (excluding) tail,
+// binding each SQE to a free command tracker. An out-of-range value, or one
+// that would put more commands in flight than there are free trackers, is
+// rejected with the rings untouched, like a controller flagging an invalid
 // doorbell write instead of reading garbage entries.
 func (qp *QueuePair) WriteSQDoorbell(tail int) error {
 	if tail < 0 || tail >= qp.depth {
 		return fmt.Errorf("%w: SQ tail %d (depth %d)", ErrDoorbell, tail, qp.depth)
 	}
-	qp.SQDoorbells++
 	head := int(qp.sqHead.Load())
 	burst := (tail - head + qp.depth) % qp.depth
+	if burst > len(qp.free) {
+		return fmt.Errorf("%w: SQ tail %d dispatches %d commands, %d trackers free",
+			ErrDoorbell, tail, burst, len(qp.free))
+	}
+	qp.SQDoorbells++
 	if burst > qp.MaxSQBurst {
 		qp.MaxSQBurst = burst
 	}
@@ -307,11 +331,15 @@ func (qp *QueuePair) WriteSQDoorbell(tail int) error {
 	// are fully written above.
 	qp.sqTail.Store(int64(tail))
 	for head != tail {
-		e := qp.sq[head]
+		t := qp.free[len(qp.free)-1]
+		qp.free = qp.free[:len(qp.free)-1]
+		t.sqe = qp.sq[head]
+		t.done = qp.sqDone[head]
+		qp.sqDone[head] = nil
 		head = (head + 1) % qp.depth
 		qp.sqHead.Store(int64(head))
 		qp.Submitted++
-		qp.dev.process(qp, e)
+		qp.dev.process(t)
 	}
 	return nil
 }
@@ -332,8 +360,10 @@ func (qp *QueuePair) WriteCQDoorbell(head int) error {
 	return nil
 }
 
-// postCompletion is called by the device when a command finishes.
-func (qp *QueuePair) postCompletion(cid uint16, st Status) {
+// postCompletion is called by the device when a command finishes: it posts
+// the CQE, fires the host's completion handle (if any) and signals the
+// interrupt, with prio the command's priority tag.
+func (qp *QueuePair) postCompletion(cid uint16, st Status, done *sim.Completion, prio uint8) {
 	if int(qp.cqCount.Load()) == qp.depth {
 		// A real device would stall; with SQ depth == CQ depth this
 		// cannot happen unless the host never consumes CQEs it was
@@ -360,13 +390,9 @@ func (qp *QueuePair) postCompletion(cid uint16, st Status) {
 
 	// The command's completion handle fires when its CQE becomes visible:
 	// this is the instant a poller could discover it.
-	if comp := qp.pending[cid]; comp != nil {
-		delete(qp.pending, cid)
-		comp.FireAt(qp.dev.eng.Now())
+	if done != nil {
+		done.FireAt(qp.dev.eng.Now())
 	}
-
-	prio := qp.prio[cid]
-	delete(qp.prio, cid)
 	qp.signalCompletion(cid, prio)
 }
 
@@ -437,17 +463,17 @@ func (qp *QueuePair) raiseCoalesced() {
 	qp.OnCompletion(qp)
 }
 
-// Poll consumes up to max CQEs (0 = all available), firing their completion
-// handles, and returns them. This is the polling/interrupt-handler consume
+// Poll consumes up to max CQEs (0 = all available), appends them to dst and
+// returns the extended slice; a caller that passes a reused buffer (buf[:0])
+// polls without allocating. This is the polling/interrupt-handler consume
 // path; it advances the CQ head doorbell.
-func (qp *QueuePair) Poll(max int) []CompletionEntry {
-	var out []CompletionEntry
-	for qp.cqCount.Load() > 0 && (max == 0 || len(out) < max) {
+func (qp *QueuePair) Poll(dst []CompletionEntry, max int) []CompletionEntry {
+	for n := 0; qp.cqCount.Load() > 0 && (max == 0 || n < max); n++ {
 		head := int(qp.cqHead.Load())
 		ce := qp.cq[head]
 		qp.cqHead.Store(int64((head + 1) % qp.depth))
 		qp.cqCount.Add(-1)
-		out = append(out, ce)
+		dst = append(dst, ce)
 		qp.emit(trace.CQEConsume, uint32(ce.CID), 0, uint64(ce.Status))
 	}
 	if qp.cqCount.Load() == 0 && qp.unNotified > 0 {
@@ -461,7 +487,7 @@ func (qp *QueuePair) Poll(max int) []CompletionEntry {
 		}
 		qp.coalesceEv = sim.Timer{}
 	}
-	return out
+	return dst
 }
 
 // Ring-state accessors for invariant checking (property tests): the SQ
@@ -477,7 +503,3 @@ func (qp *QueuePair) CQOccupied() int { return int(qp.cqCount.Load()) }
 // HasCompletions reports whether unconsumed CQEs are pending (the check a
 // shared-vector interrupt handler performs to identify the source, §4.2).
 func (qp *QueuePair) HasCompletions() bool { return qp.cqCount.Load() > 0 }
-
-// LastCID returns the command identifier assigned by the most recent
-// Submit.
-func (qp *QueuePair) LastCID() uint16 { return qp.nextCID }

@@ -15,21 +15,21 @@ func TestSubmitFullSQ(t *testing.T) {
 	qp, _ := d.CreateQueuePair(4)
 	buf := make([]byte, 512)
 	for i := 0; i < 3; i++ {
-		if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: uint64(i), NLB: 1, Data: buf}); err != nil {
+		if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: uint64(i), NLB: 1, Data: buf}, nil); err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
 	}
 	if qp.Inflight() != 3 {
 		t.Fatalf("Inflight = %d, want 3", qp.Inflight())
 	}
-	_, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 9, NLB: 1, Data: buf})
+	_, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 9, NLB: 1, Data: buf}, nil)
 	if !errors.Is(err, nvme.ErrSQFull) {
 		t.Fatalf("submit into full SQ: %v, want ErrSQFull", err)
 	}
 	// Complete the backlog; the queue accepts submissions again.
 	e.Run(0)
-	qp.Poll(0)
-	if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 9, NLB: 1, Data: buf}); err != nil {
+	qp.Poll(nil, 0)
+	if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 9, NLB: 1, Data: buf}, nil); err != nil {
 		t.Fatalf("submit after drain: %v", err)
 	}
 }
@@ -45,12 +45,12 @@ func TestCQWraparoundPhaseFlip(t *testing.T) {
 	submitN := func(n int) []nvme.CompletionEntry {
 		t.Helper()
 		for i := 0; i < n; i++ {
-			if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: uint64(i), NLB: 1, Data: buf}); err != nil {
+			if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: uint64(i), NLB: 1, Data: buf}, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
 		e.Run(0)
-		ces := qp.Poll(0)
+		ces := qp.Poll(nil, 0)
 		if len(ces) != n {
 			t.Fatalf("polled %d CQEs, want %d", len(ces), n)
 		}
@@ -103,7 +103,7 @@ func TestCQDoorbellOutOfRange(t *testing.T) {
 	e, d := newDev(nvme.Config{BlockSize: 512, NumBlocks: 64})
 	qp, _ := d.CreateQueuePair(8)
 	buf := make([]byte, 512)
-	if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 1, NLB: 1, Data: buf}); err != nil {
+	if _, err := qp.Submit(nvme.SubmissionEntry{Opcode: nvme.OpWrite, SLBA: 1, NLB: 1, Data: buf}, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Run(0)

@@ -102,8 +102,8 @@ var (
 // Request is an in-flight I/O of a stack model.
 type Request struct {
 	op     nvme.Opcode
-	done   *sim.Completion
-	cqe    *sim.Completion
+	done   sim.Completion // fired when the stack has handled the CQE
+	cqe    sim.Completion // fired when the CQE becomes visible (polling)
 	status nvme.Status
 	start  time.Duration
 }
@@ -205,13 +205,12 @@ func (s *Stack) Submit(env *sim.Env, op nvme.Opcode, lba uint64, cnt uint32, buf
 		return nil, ErrNoThread
 	}
 	env.Exec(timing.SubmitCost + s.prof.SubmitExtra)
-	req := &Request{op: op, done: sim.NewCompletion(), start: env.Now()}
-	cqe, err := th.qp.Submit(nvme.SubmissionEntry{Opcode: op, SLBA: lba, NLB: cnt, Data: buf})
+	req := &Request{op: op, start: env.Now()}
+	cid, err := th.qp.Submit(nvme.SubmissionEntry{Opcode: op, SLBA: lba, NLB: cnt, Data: buf}, &req.cqe)
 	if err != nil {
 		return nil, fmt.Errorf("stackmodel %s: %w", s.prof.Name, err)
 	}
-	req.cqe = cqe
-	th.pending[th.qp.LastCID()] = req
+	th.pending[cid] = req
 	return req, nil
 }
 
@@ -226,18 +225,18 @@ func (s *Stack) Wait(env *sim.Env, req *Request) error {
 		switch {
 		case s.prof.Completion == CompletionPoll:
 			th.spins++
-			env.SpinWait(req.cqe)
+			env.SpinWait(&req.cqe)
 			th.drain(env.Now())
 		case s.prof.EagerSleep || s.othersRunnable(env):
 			// Sleep; the ISR wakes us (Figure 4 path when the
 			// core then idles).
 			th.sleeps++
-			env.BlockOn(req.done)
+			env.BlockOn(&req.done)
 		default:
 			// Active checking: stay on the CPU until the ISR
 			// handles the completion.
 			th.spins++
-			env.SpinWait(req.done)
+			env.SpinWait(&req.done)
 		}
 	}
 	env.Exec(timing.CompleteCost + s.prof.CompleteExtra)
@@ -254,7 +253,8 @@ func (s *Stack) othersRunnable(env *sim.Env) bool {
 
 // drain consumes CQEs in task context (polling stacks).
 func (th *thread) drain(now time.Duration) {
-	for _, ce := range th.qp.Poll(0) {
+	var buf [32]nvme.CompletionEntry
+	for _, ce := range th.qp.Poll(buf[:0], 0) {
 		req := th.pending[ce.CID]
 		if req == nil {
 			continue
